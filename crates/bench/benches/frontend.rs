@@ -1,7 +1,7 @@
 //! Microbenchmarks for the front-end structures: trace-cache
 //! lookup/fill, fill-unit throughput under each packing policy, and the
 //! full fetch engine. These measure *simulator* performance (host time),
-//! complementing the `paper` binary which measures *simulated* metrics.
+//! complementing `tw paper`, which measures *simulated* metrics.
 
 use tc_bench::micro::{black_box, Group};
 use tc_cache::{HierarchyConfig, MemoryHierarchy};

@@ -1,25 +1,25 @@
-//! Support library for the `paper` harness.
+//! The paper's evaluation and the simulator's timing harnesses.
 //!
 //! The experiment machinery (memoizing parallel runner, table renderer,
-//! statistics helpers) lives in `tc_sim::harness`; this crate re-exports
-//! it under the historical names so the `paper` binary and external
-//! scripts keep working, and adds two dependency-free timing harnesses
-//! (the workspace builds offline, so Criterion is not available):
-//! [`micro`], which backs the `benches/` targets, and [`suite`], the
-//! benchmark × configuration wall-clock matrix behind `tw bench`.
+//! statistics helpers) lives in `tc_sim::harness`. This crate adds:
 //!
-//! The binary `paper` (see `src/bin/paper.rs`) regenerates every table
-//! and figure of the paper's evaluation:
+//! * [`paper`] — every table and figure of the paper's evaluation plus
+//!   the ablations, run as `tw paper <experiment|all|ablations>`:
 //!
-//! ```text
-//! cargo run --release -p tc-bench --bin paper -- all
-//! cargo run --release -p tc-bench --bin paper -- fig10 --insts 2000000 --jobs 8
-//! ```
+//!   ```text
+//!   tw paper all
+//!   tw paper fig10 --insts 2000000 --jobs 8
+//!   ```
+//!
+//! * [`micro`] — a dependency-free microbenchmark harness backing the
+//!   `benches/` targets (the workspace builds offline, so Criterion is
+//!   not available);
+//! * [`suite`] and [`compare`] — the benchmark × configuration
+//!   wall-clock matrix behind `tw bench` and its artifact diff.
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
-pub use tc_sim::harness::{f2, mean, pct, percent_change, MatrixRunner as Runner, Table};
-
 pub mod compare;
 pub mod micro;
+pub mod paper;
 pub mod suite;

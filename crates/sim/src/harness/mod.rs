@@ -1,9 +1,8 @@
 //! The experiment harness: one layer every driver builds on.
 //!
 //! The paper's evaluation is a benchmark × configuration matrix, and the
-//! repo has three front doors into it — the `tw` CLI, the `paper`
-//! figure/table regenerator, and the `experiments` helper API. All of
-//! them share this layer:
+//! `tw` CLI is the one front door into it (`tw paper` regenerates the
+//! figures and tables). Every subcommand builds on this layer:
 //!
 //! * [`registry`] — the single source of truth for named configuration
 //!   presets (`icache`, `baseline`, `packing`, `promotion`,
@@ -12,7 +11,7 @@
 //! * [`runner`] — the parallel matrix runner: executes independent
 //!   `(benchmark, configuration)` cells on scoped worker threads with
 //!   deterministic, caller-ordered result collection, plus the memoizing
-//!   [`MatrixRunner`] that the figure regenerator drives. Worker count
+//!   [`MatrixRunner`] that `tw paper` drives. Worker count
 //!   comes from `--jobs` flags or the `TW_JOBS` environment variable
 //!   (see [`default_jobs`]).
 //! * [`json`] — a hand-rolled JSON report emitter (the workspace builds

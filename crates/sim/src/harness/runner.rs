@@ -97,7 +97,7 @@ pub fn run_matrix<W: Into<WorkloadId> + Copy>(
             .entry(bench.name())
             .or_insert_with(|| bench.build());
     }
-    run_matrix_shared(&cells, &workloads, jobs, false)
+    run_matrix_shared(&cells, &workloads, jobs)
 }
 
 /// [`run_matrix`] against pre-built workloads (every cell's workload
@@ -106,7 +106,6 @@ fn run_matrix_shared(
     cells: &[(WorkloadId, SimConfig)],
     workloads: &HashMap<&'static str, Workload>,
     jobs: usize,
-    verbose: bool,
 ) -> Vec<SimReport> {
     let jobs = jobs.clamp(1, cells.len().max(1));
     let next = AtomicUsize::new(0);
@@ -118,9 +117,6 @@ fn run_matrix_shared(
                 let Some((bench, config)) = cells.get(i) else {
                     break;
                 };
-                if verbose {
-                    eprintln!("  running {} under {} ...", bench.name(), config.label());
-                }
                 let workload = &workloads[bench.name()];
                 let report = Processor::new(config.clone()).run(workload);
                 if let Ok(mut slot) = slots[i].lock() {
@@ -211,49 +207,28 @@ pub fn run_matrix_watchdog<W: Into<WorkloadId> + Copy>(
 /// so each `(benchmark, configuration, budget)` cell simulates once per
 /// process; cache misses within one request execute in parallel.
 ///
-/// This is the engine behind the `paper` binary and `tw compare`. The
-/// per-runner instruction budget is applied to every cell, and results
-/// are keyed by `(benchmark, SimConfig::label())` — the label uniquely
-/// identifies a configuration.
+/// This is the engine behind `tw paper`. The per-runner instruction
+/// budget is applied to every cell, and results are keyed by
+/// `(benchmark, SimConfig::label())` — the label uniquely identifies a
+/// configuration.
 pub struct MatrixRunner {
     insts: u64,
     jobs: usize,
-    verbose: bool,
     workloads: HashMap<&'static str, Workload>,
     cache: HashMap<(&'static str, String), SimReport>,
 }
 
 impl MatrixRunner {
     /// Creates a runner with a per-cell dynamic instruction budget and
-    /// the default worker count ([`default_jobs`]).
+    /// a worker-thread count (minimum 1).
     #[must_use]
-    pub fn new(insts: u64, verbose: bool) -> MatrixRunner {
+    pub fn new(insts: u64, jobs: usize) -> MatrixRunner {
         MatrixRunner {
             insts,
-            jobs: default_jobs(),
-            verbose,
+            jobs: jobs.max(1),
             workloads: HashMap::new(),
             cache: HashMap::new(),
         }
-    }
-
-    /// Overrides the worker-thread count (minimum 1).
-    #[must_use]
-    pub fn with_jobs(mut self, jobs: usize) -> MatrixRunner {
-        self.jobs = jobs.max(1);
-        self
-    }
-
-    /// The instruction budget per simulation.
-    #[must_use]
-    pub fn insts(&self) -> u64 {
-        self.insts
-    }
-
-    /// The worker-thread count.
-    #[must_use]
-    pub fn jobs(&self) -> usize {
-        self.jobs
     }
 
     /// Ensures every cell is simulated, running the misses in parallel.
@@ -276,7 +251,7 @@ impl MatrixRunner {
                 .entry(bench.name())
                 .or_insert_with(|| bench.build());
         }
-        let reports = run_matrix_shared(&missing, &self.workloads, self.jobs, self.verbose);
+        let reports = run_matrix_shared(&missing, &self.workloads, self.jobs);
         for ((bench, config), report) in missing.into_iter().zip(reports) {
             self.cache.insert((bench.name(), config.label()), report);
         }
@@ -292,30 +267,19 @@ impl MatrixRunner {
         &self.cache[&key]
     }
 
-    /// Runs the given cells (in parallel where uncached) and returns
-    /// cloned reports in the given order.
-    pub fn run_cells<W: Into<WorkloadId> + Copy>(
-        &mut self,
-        cells: &[(W, SimConfig)],
-    ) -> Vec<SimReport> {
-        self.prefetch(cells);
-        cells
-            .iter()
-            .map(|(bench, config)| {
-                let bench: WorkloadId = (*bench).into();
-                self.cache[&(bench.name(), config.label())].clone()
-            })
-            .collect()
-    }
-
-    /// Runs the whole suite under one configuration, returning cloned
-    /// reports in suite order.
+    /// Runs the whole suite under one configuration (in parallel where
+    /// uncached), returning cloned reports in suite order.
     pub fn run_suite(&mut self, config: &SimConfig) -> Vec<SimReport> {
         let cells: Vec<(Benchmark, SimConfig)> = Benchmark::ALL
             .iter()
             .map(|&b| (b, config.clone()))
             .collect();
-        self.run_cells(&cells)
+        self.prefetch(&cells);
+        let label = config.label();
+        Benchmark::ALL
+            .iter()
+            .map(|b| self.cache[&(b.name(), label.clone())].clone())
+            .collect()
     }
 }
 

@@ -41,11 +41,9 @@ mod plan;
 mod processor;
 mod report;
 
-pub mod experiments;
 pub mod harness;
 
 pub use config::{ExecutionMode, SimConfig};
-pub use harness::MatrixRunner;
 pub use plan::{PlanEntry, PlanStats, PromotionPlan};
 pub use processor::Processor;
 pub use report::{CycleAccounting, SamplingStats, SimReport};

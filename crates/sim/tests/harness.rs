@@ -148,7 +148,7 @@ fn run_matrix_preserves_caller_order() {
 /// agrees with a direct simulation at the same budget.
 #[test]
 fn matrix_runner_memoizes() {
-    let mut runner = MatrixRunner::new(20_000, false).with_jobs(2);
+    let mut runner = MatrixRunner::new(20_000, 2);
     let config = SimConfig::baseline();
     let first = runner.run(Benchmark::Compress, &config).clone();
     let again = runner.run(Benchmark::Compress, &config).clone();

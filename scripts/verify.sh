@@ -32,6 +32,12 @@ echo "==> tw bench --compare (self)"
 # than success means the compare path itself broke.
 target/release/tw bench --compare "$bench_artifact" "$bench_artifact"
 
+echo "==> tw paper (smoke)"
+# One paper figure and one ablation at a tiny budget: the experiment
+# table, the memoizing runner and the table renderer end to end.
+target/release/tw paper fig10 --insts 20000 >/dev/null
+target/release/tw paper ablation-ras --insts 20000 >/dev/null
+
 echo "==> tw trace (smoke)"
 target/release/tw trace --workload compress --preset headline \
   --insts 20000 --limit 10000 --out "$trace_artifact"
@@ -222,6 +228,8 @@ expect_exit 2 target/release/tw sim --bench gcc --config no-such-preset
 expect_exit 2 target/release/tw faults --workload gcc --rate -1
 expect_exit 2 target/release/tw serve --jobs 0
 expect_exit 2 env TW_JOBS=banana target/release/tw list
+expect_exit 2 target/release/tw paper fig99
+expect_exit 2 target/release/tw sim --bench gcc --config baseline --rate 1e-3
 bad_asm="$(mktemp -t tw-bad-asm.XXXXXX.s)"
 printf 'li t0, 0\nfrobnicate t1\n' > "$bad_asm"
 expect_exit 1 target/release/tw lint --asm "$bad_asm"
@@ -238,4 +246,4 @@ rm -f "$bad_asm" "$bench_artifact.trunc" "$bench_artifact.plan" "$bench_artifact
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "OK: build + tests + lint + bench smoke + compare + trace smoke + faults smoke + fast-forward/checkpoint smoke + rv32i smoke + analyze/plan smoke + serve load smoke + chaos/crash-recovery smoke + error layer + formatting all clean"
+echo "OK: build + tests + lint + bench smoke + compare + paper smoke + trace smoke + faults smoke + fast-forward/checkpoint smoke + rv32i smoke + analyze/plan smoke + serve load smoke + chaos/crash-recovery smoke + error layer + formatting all clean"

@@ -68,6 +68,179 @@ fn unknown_command_and_flags_are_usage_errors() {
         &tw(&["compare", "--bench", "gcc", "--timeout-secs", "0"]),
         2,
     );
+    // Flags another subcommand declares are not accepted here.
+    for args in [
+        &[
+            "sim", "--bench", "compress", "--config", "baseline", "--rate", "1e-3",
+        ][..],
+        &["list", "--jobs", "2"],
+        &["bench", "--port", "1"],
+        &["paper", "fig4", "--timeline"],
+    ] {
+        let out = tw(args);
+        assert_usage_error_only(&out);
+        assert!(
+            stderr_line(&out).contains("unknown flag"),
+            "{args:?}: {}",
+            stderr_line(&out)
+        );
+    }
+    assert_usage_error_only(&tw(&["paper", "fig99"]));
+    assert_usage_error_only(&tw(&["paper"]));
+}
+
+/// A usage error that runs nothing: exit 2, one `tw:` line on stderr,
+/// and nothing on stdout.
+fn assert_usage_error_only(out: &Output) {
+    assert_diagnostic(out, 2);
+    assert!(
+        out.stdout.is_empty(),
+        "stdout not empty: {}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+}
+
+/// One subcommand as `tw help` shows it.
+struct Shown {
+    /// The words that select it: `sim`, `checkpoint save`.
+    words: Vec<String>,
+    operands: usize,
+    /// Each flag with the number of values it takes.
+    flags: Vec<(String, usize)>,
+}
+
+/// Reads the subcommand synopses and the alias pairs out of `tw help`.
+fn shown_usage() -> (Vec<Shown>, Vec<(String, String)>) {
+    let help = tw(&["help"]);
+    assert_eq!(help.status.code(), Some(0));
+    let text = String::from_utf8_lossy(&help.stderr).to_string();
+    // A synopsis starts at `  tw ` and continues on lines indented
+    // deeper than the six-space description.
+    let mut synopses: Vec<String> = Vec::new();
+    let mut open = false;
+    for line in text.lines() {
+        if let Some(rest) = line.strip_prefix("  tw ") {
+            synopses.push(rest.to_string());
+            open = true;
+        } else if open && line.starts_with("       ") {
+            let last = synopses.last_mut().expect("synopsis open");
+            last.push(' ');
+            last.push_str(line.trim());
+        } else {
+            open = false;
+        }
+    }
+    let commands = synopses
+        .iter()
+        .map(|synopsis| {
+            let tokens: Vec<&str> = synopsis.split_whitespace().collect();
+            let words: Vec<String> = tokens
+                .iter()
+                .take_while(|t| t.chars().all(|c| c.is_ascii_lowercase()))
+                .map(|t| (*t).to_string())
+                .collect();
+            let operands = tokens[words.len()..]
+                .iter()
+                .take_while(|t| !t.starts_with('-') && !t.starts_with('['))
+                .count();
+            let mut flags: Vec<(String, usize)> = Vec::new();
+            for token in &tokens[words.len() + operands..] {
+                let bare = token.trim_start_matches('[');
+                if bare.starts_with("--") {
+                    flags.push((bare.trim_end_matches(']').to_string(), 0));
+                } else {
+                    flags.last_mut().expect("value follows a flag").1 += 1;
+                }
+            }
+            Shown {
+                words,
+                operands,
+                flags,
+            }
+        })
+        .collect();
+    let start = text.find("aliases:").expect("usage lists aliases");
+    let end = start + text[start..].find("configurations:").expect("then presets");
+    let aliases = text[start + "aliases:".len()..end]
+        .split(',')
+        .map(|pair| {
+            let (a, b) = pair.split_once(" = ").expect("alias pair");
+            (a.trim().to_string(), b.trim().to_string())
+        })
+        .collect();
+    (commands, aliases)
+}
+
+/// The usage text and the parser agree: each subcommand accepts every
+/// flag (and alias) its synopsis lists, with the value count shown, and
+/// rejects every other flag any subcommand lists.
+#[test]
+fn every_subcommand_accepts_exactly_the_flags_its_usage_lists() {
+    let (commands, aliases) = shown_usage();
+    let names: Vec<String> = commands.iter().map(|c| c.words.join(" ")).collect();
+    for want in [
+        "sim",
+        "checkpoint save",
+        "checkpoint restore",
+        "rv",
+        "paper",
+    ] {
+        assert!(names.iter().any(|n| n == want), "{want} missing: {names:?}");
+    }
+    let mut all_flags: Vec<String> = Vec::new();
+    for (a, b) in &aliases {
+        all_flags.push(a.clone());
+        all_flags.push(b.clone());
+    }
+    for c in &commands {
+        all_flags.extend(c.flags.iter().map(|(f, _)| f.clone()));
+    }
+    all_flags.sort();
+    all_flags.dedup();
+
+    for c in &commands {
+        let mut accepted = c.flags.clone();
+        for (flag, arity) in &c.flags {
+            for (a, b) in &aliases {
+                if flag == a {
+                    accepted.push((b.clone(), *arity));
+                } else if flag == b {
+                    accepted.push((a.clone(), *arity));
+                }
+            }
+        }
+        let mut prefix: Vec<&str> = c.words.iter().map(String::as_str).collect();
+        prefix.extend(std::iter::repeat_n("x", c.operands));
+        for (flag, arity) in &accepted {
+            // Flags are matched before any value is checked, so a
+            // placeholder value reaches the undeclared probe.
+            let mut args = prefix.clone();
+            args.push(flag);
+            args.extend(std::iter::repeat_n("x", *arity));
+            args.push("--undeclared-probe");
+            let out = tw(&args);
+            assert_usage_error_only(&out);
+            assert!(
+                stderr_line(&out).contains("`--undeclared-probe`"),
+                "{args:?}: {}",
+                stderr_line(&out)
+            );
+        }
+        for flag in &all_flags {
+            if accepted.iter().any(|(f, _)| f == flag) {
+                continue;
+            }
+            let mut args = prefix.clone();
+            args.push(flag);
+            let out = tw(&args);
+            assert_usage_error_only(&out);
+            assert!(
+                stderr_line(&out).contains(&format!("unknown flag `{flag}`")),
+                "{args:?}: {}",
+                stderr_line(&out)
+            );
+        }
+    }
 }
 
 #[test]
@@ -244,6 +417,7 @@ fn jobs_flag_enforces_the_range_contract() {
     assert_diagnostic(&tw(&["compare", "--bench", "gcc", "--jobs", "many"]), 2);
     let err = stderr_line(&tw(&["compare", "--bench", "gcc", "--jobs", "1000000"]));
     assert!(err.contains("cap"), "names the cap: {err}");
+    assert_usage_error_only(&tw(&["paper", "fig4", "--jobs", "0"]));
 }
 
 #[test]
@@ -254,6 +428,8 @@ fn malformed_tw_jobs_is_a_usage_error_not_a_silent_fallback() {
     assert_diagnostic(&tw_env(&["list"], "TW_JOBS", "1000000"), 2);
     let err = stderr_line(&tw_env(&["list"], "TW_JOBS", "abc"));
     assert!(err.contains("TW_JOBS"), "names the variable: {err}");
+    // `paper` reads the same variable for its default job count.
+    assert_usage_error_only(&tw_env(&["paper", "fig4"], "TW_JOBS", "banana"));
 
     // Benign spellings still work: unset, empty-trimmed digits, spaces.
     let ok = tw_env(&["list"], "TW_JOBS", " 8 ");
