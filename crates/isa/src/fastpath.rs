@@ -9,9 +9,13 @@
 //! window, or to build a checkpoint). [`BlockCache`] predecodes a program
 //! into straight-line runs; [`Machine::fast_forward`] then executes whole
 //! runs in a tight loop with no per-instruction next-PC resolution, no
-//! bounds re-checks on fall-through, and no record construction.
+//! bounds re-checks on fall-through, and no record construction. Each
+//! run's tail (the instruction that may redirect the PC or halt) goes
+//! through [`Machine::step`] itself.
 //!
-//! The fast path is *architecturally bit-identical* to stepping: after
+//! The fast path has no instruction semantics of its own: the straight
+//! prefix and `step` both execute through the same `Machine::execute`.
+//! It is therefore *architecturally bit-identical* to stepping: after
 //! `fast_forward(p, &blocks, n)` the machine's registers, memory, PC,
 //! retired count, and halt flag are exactly what `n` calls of
 //! [`Machine::step`] would have produced, including the state at which an
@@ -19,9 +23,8 @@
 //! in lockstep.
 
 use crate::instr::Instr;
-use crate::interp::{ExecError, Machine};
+use crate::interp::{ExecError, Machine, StepOutcome};
 use crate::program::{Addr, Program};
-use crate::reg::Reg;
 
 /// Whether `instr` ends a straight-line run: any instruction that can
 /// redirect the PC away from `pc + 1`, plus `halt`. Traps and nops fall
@@ -111,8 +114,8 @@ impl Machine {
     ///
     /// Returns [`ExecError`] under the same conditions as
     /// [`Machine::step`]: the PC leaving the program or an out-of-bounds
-    /// data access. Inspect [`Machine::retired`] for progress made before
-    /// the fault.
+    /// or misaligned data access. Inspect [`Machine::retired`] for
+    /// progress made before the fault.
     pub fn fast_forward(
         &mut self,
         program: &Program,
@@ -122,146 +125,52 @@ impl Machine {
         let instrs = program.instrs();
         let mut executed: u64 = 0;
         while executed < max_insts && !self.is_halted() {
-            let pc = self.pc();
+            let pc = self.pc;
             let Some(run) = blocks.run_len(pc) else {
                 return Err(ExecError::PcOutOfRange { pc });
             };
+            // The straight-line prefix is every instruction before the
+            // run's tail, cut short if the budget expires inside it.
             let remaining = max_insts - executed;
-            if u64::from(run) > remaining {
-                // Budget expires inside the run: the prefix is pure
-                // straight-line code (the run's only possible ender is its
-                // tail), so execute exactly `remaining` and stop.
-                let n = remaining as usize;
-                self.run_straight(pc, &instrs[pc.index()..pc.index() + n])?;
-                executed += remaining;
+            let straight = (u64::from(run) - 1).min(remaining);
+            self.run_straight(&instrs[pc.index()..pc.index() + straight as usize])?;
+            executed += straight;
+            if straight == remaining {
                 break;
             }
-            // Whole run: straight-line prefix, then the tail with full
-            // step semantics (control resolution, halt, range check).
-            let n = run as usize;
-            self.run_straight(pc, &instrs[pc.index()..pc.index() + n - 1])?;
-            executed += u64::from(run) - 1;
-            if self.step_tail(program, instrs[pc.index() + n - 1])? {
+            // The tail resolves control flow, halts and range-checks the
+            // next PC: it is a run of length 1, so `step` executes it.
+            if let StepOutcome::Executed(_) = self.step(program)? {
                 executed += 1;
             }
         }
         Ok(executed)
     }
 
-    /// Executes a straight-line slice of instructions starting at `pc`.
-    /// Every instruction is known to fall through inside the program, so
-    /// the PC advances by `window.len()` in one commit.
+    /// Executes a straight-line slice of instructions starting at the
+    /// current PC. Every instruction is known to fall through inside the
+    /// program, so the PC advances by `window.len()` in one commit.
     ///
     /// On a memory fault, state is fixed up to match stepwise execution:
     /// PC at the faulting instruction, earlier instructions retired.
-    fn run_straight(&mut self, pc: Addr, window: &[Instr]) -> Result<(), ExecError> {
+    fn run_straight(&mut self, window: &[Instr]) -> Result<(), ExecError> {
+        let pc = self.pc;
         for (k, &instr) in window.iter().enumerate() {
-            if let Err(e) = self.exec_straight(pc.offset(k as u32), instr) {
-                self.commit_straight(pc.offset(k as u32), k as u64);
-                return Err(e);
-            }
-        }
-        self.commit_straight(pc.offset(window.len() as u32), window.len() as u64);
-        Ok(())
-    }
-
-    /// Executes one known-fall-through instruction without touching PC or
-    /// the retired counter (batched by the caller).
-    #[inline]
-    fn exec_straight(&mut self, pc: Addr, instr: Instr) -> Result<(), ExecError> {
-        match instr {
-            Instr::Alu { op, rd, rs1, rs2 } => {
-                let v = op.eval(self.reg(rs1), self.reg(rs2));
-                self.set_reg(rd, v);
-            }
-            Instr::AluImm { op, rd, rs1, imm } => {
-                let v = op.eval(self.reg(rs1), imm as i64 as u64);
-                self.set_reg(rd, v);
-            }
-            Instr::Li { rd, imm } => self.set_reg(rd, imm as i64 as u64),
-            Instr::Load { rd, base, offset } => {
-                let addr = self.data_addr(pc, base, offset)?;
-                let v = self.mem(addr);
-                self.set_reg(rd, v);
-            }
-            Instr::Store { src, base, offset } => {
-                let addr = self.data_addr(pc, base, offset)?;
-                let v = self.reg(src);
-                self.set_mem(addr, v);
-            }
-            Instr::LoadN {
-                rd,
-                base,
-                offset,
-                width,
-                signed,
-            } => {
-                let addr = self.narrow_addr(pc, base, offset, width)?;
-                let v = self.narrow_load(addr, width, signed);
-                self.set_reg(rd, v);
-            }
-            Instr::StoreN {
-                src,
-                base,
-                offset,
-                width,
-            } => {
-                let addr = self.narrow_addr(pc, base, offset, width)?;
-                let v = self.reg(src);
-                self.narrow_store(addr, width, v);
-            }
-            Instr::Trap { .. } | Instr::Nop => {}
-            // `BlockCache` construction guarantees straight-line windows
-            // contain no control transfers or halts.
-            _ => unreachable!("control instruction inside straight-line run"),
-        }
-        Ok(())
-    }
-
-    /// Executes the run's tail instruction with the exact semantics of
-    /// [`Machine::step`]. Returns whether an instruction retired (`false`
-    /// for `halt`).
-    fn step_tail(&mut self, program: &Program, instr: Instr) -> Result<bool, ExecError> {
-        let pc = self.pc();
-        let mut next_pc = pc.next();
-        match instr {
-            Instr::Branch {
-                cond,
-                rs1,
-                rs2,
-                target,
-            } => {
-                if cond.eval(self.reg(rs1), self.reg(rs2)) {
-                    next_pc = target;
+            let at = pc.offset(k as u32);
+            match self.execute(at, instr) {
+                // The block cache ends every window before a control
+                // instruction or `halt`; a foreign cache breaks that.
+                Ok(effect) => debug_assert!(effect.is_some_and(|e| e.next_pc == at.next())),
+                Err(e) => {
+                    self.pc = at;
+                    self.retired += k as u64;
+                    return Err(e);
                 }
             }
-            Instr::Jump { target } => next_pc = target,
-            Instr::Call { target } => {
-                self.set_reg(Reg::RA, u64::from(pc.next()));
-                next_pc = target;
-            }
-            Instr::Ret => next_pc = Addr::new(self.reg(Reg::RA) as u32),
-            Instr::JumpInd { base } => next_pc = Addr::new(self.reg(base) as u32),
-            Instr::CallInd { base } => {
-                let target = Addr::new(self.reg(base) as u32);
-                self.set_reg(Reg::RA, u64::from(pc.next()));
-                next_pc = target;
-            }
-            Instr::Halt => {
-                self.set_halted();
-                return Ok(false);
-            }
-            // Straight-line tails (run truncated by the end of the
-            // program) share step's fall-through handling.
-            other => {
-                self.exec_straight(pc, other)?;
-            }
         }
-        if next_pc.index() >= program.len() {
-            return Err(ExecError::PcOutOfRange { pc: next_pc });
-        }
-        self.commit_straight(next_pc, 1);
-        Ok(true)
+        self.pc = pc.offset(window.len() as u32);
+        self.retired += window.len() as u64;
+        Ok(())
     }
 }
 
@@ -269,8 +178,8 @@ impl Machine {
 mod tests {
     use super::*;
     use crate::asm::ProgramBuilder;
-    use crate::instr::Cond;
-    use crate::interp::StepOutcome;
+    use crate::instr::{Cond, MemWidth};
+    use crate::reg::Reg;
 
     /// A program exercising every run shape: loops, calls/returns,
     /// indirect jumps, memory traffic, traps.
@@ -373,30 +282,108 @@ mod tests {
         assert_eq!(m.fast_forward(&p, &blocks, 1_000).unwrap(), 0);
     }
 
+    /// Every `ExecError` variant — memory faults inside a straight-line
+    /// prefix, PC faults at a run's tail: `step` and `fast_forward` must
+    /// stop with the same error in the same architectural state.
     #[test]
     fn fault_state_matches_step_fault_state() {
-        let mut b = ProgramBuilder::new();
-        b.li(Reg::T0, 1 << 20)
-            .li(Reg::T1, 7)
-            .load(Reg::T2, Reg::T0, 0)
-            .halt();
-        let p = b.build().unwrap();
-        let blocks = BlockCache::new(&p);
-
-        let mut slow = Machine::new(p.entry(), 64);
-        let slow_err = loop {
-            match slow.step(&p) {
-                Ok(_) => {}
-                Err(e) => break e,
-            }
+        let case = |build: &dyn Fn(&mut ProgramBuilder)| {
+            let mut b = ProgramBuilder::new();
+            build(&mut b);
+            b.build().unwrap()
         };
-        let mut fast = Machine::new(p.entry(), 64);
-        let fast_err = fast.fast_forward(&p, &blocks, 1_000).unwrap_err();
+        let cases: [(&str, Program, ExecError, u64); 5] = [
+            (
+                "out-of-bounds word load",
+                case(&|b| {
+                    b.li(Reg::T0, 1 << 20)
+                        .li(Reg::T1, 7)
+                        .load(Reg::T2, Reg::T0, 0)
+                        .halt();
+                }),
+                ExecError::MemOutOfBounds {
+                    pc: Addr::new(2),
+                    addr: 1 << 20,
+                    mem_words: 64,
+                },
+                2,
+            ),
+            (
+                "misaligned narrow load",
+                case(&|b| {
+                    b.li(Reg::T0, 3).li(Reg::T1, 7).push(Instr::LoadN {
+                        rd: Reg::T2,
+                        base: Reg::T0,
+                        offset: 0,
+                        width: MemWidth::Half,
+                        signed: true,
+                    });
+                    b.halt();
+                }),
+                ExecError::MemUnaligned {
+                    pc: Addr::new(2),
+                    addr: 3,
+                    bytes: 2,
+                },
+                2,
+            ),
+            (
+                "narrow store past the end of memory",
+                case(&|b| {
+                    b.li(Reg::T0, 64 * 8).li(Reg::T1, 7).push(Instr::StoreN {
+                        src: Reg::T1,
+                        base: Reg::T0,
+                        offset: 0,
+                        width: MemWidth::Byte,
+                    });
+                    b.halt();
+                }),
+                ExecError::MemOutOfBounds {
+                    pc: Addr::new(2),
+                    addr: 64,
+                    mem_words: 64,
+                },
+                2,
+            ),
+            (
+                "indirect jump past the program",
+                case(&|b| {
+                    b.li(Reg::T0, 1000).li(Reg::T1, 7).jr(Reg::T0).halt();
+                }),
+                ExecError::PcOutOfRange {
+                    pc: Addr::new(1000),
+                },
+                2,
+            ),
+            (
+                "fall-through off the end",
+                case(&|b| {
+                    b.li(Reg::T0, 5);
+                }),
+                ExecError::PcOutOfRange { pc: Addr::new(1) },
+                0,
+            ),
+        ];
+        for (name, p, want, want_retired) in cases {
+            let blocks = BlockCache::new(&p);
+            let mut slow = Machine::new(p.entry(), 64);
+            let slow_err = loop {
+                match slow.step(&p) {
+                    Ok(StepOutcome::Executed(_)) => {}
+                    Ok(StepOutcome::Halted) => panic!("{name}: step halted"),
+                    Err(e) => break e,
+                }
+            };
+            let mut fast = Machine::new(p.entry(), 64);
+            let fast_err = fast.fast_forward(&p, &blocks, 1_000).unwrap_err();
 
-        assert_eq!(slow_err, fast_err);
-        assert_eq!(slow.pc(), fast.pc());
-        assert_eq!(slow.retired(), fast.retired());
-        assert_eq!(fast.retired(), 2);
+            assert_eq!(slow_err, want, "{name}: step error");
+            assert_eq!(fast_err, want, "{name}: fast_forward error");
+            assert_eq!(slow.pc(), fast.pc(), "{name}: pc");
+            assert_eq!(slow.retired(), want_retired, "{name}: step retired count");
+            assert_eq!(slow.retired(), fast.retired(), "{name}: retired");
+            assert_eq!(slow.regs(), fast.regs(), "{name}: registers");
+        }
     }
 
     #[test]

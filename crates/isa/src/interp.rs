@@ -75,9 +75,19 @@ impl std::error::Error for ExecError {}
 pub struct Machine {
     regs: [u64; Reg::COUNT],
     mem: Vec<u64>,
-    pc: Addr,
-    retired: u64,
+    // The fast-forward executor commits straight-line runs directly.
+    pub(crate) pc: Addr,
+    pub(crate) retired: u64,
     halted: bool,
+}
+
+/// What one instruction did to control flow and data memory, as
+/// reported by [`Machine::execute`] before the caller commits it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Effect {
+    pub(crate) next_pc: Addr,
+    taken: bool,
+    mem_addr: Option<u64>,
 }
 
 /// Result of a single interpreter step.
@@ -207,19 +217,7 @@ impl Machine {
         &self.mem
     }
 
-    /// Marks the machine halted (fast-path executor helper).
-    pub(crate) fn set_halted(&mut self) {
-        self.halted = true;
-    }
-
-    /// Batched PC/retired commit for the fast-path executor: jumps the PC
-    /// to `pc` and credits `count` retired instructions.
-    pub(crate) fn commit_straight(&mut self, pc: Addr, count: u64) {
-        self.pc = pc;
-        self.retired += count;
-    }
-
-    pub(crate) fn data_addr(&self, pc: Addr, base: Reg, offset: i32) -> Result<u64, ExecError> {
+    fn data_addr(&self, pc: Addr, base: Reg, offset: i32) -> Result<u64, ExecError> {
         let addr = self.reg(base).wrapping_add(offset as i64 as u64);
         if (addr as usize) < self.mem.len() {
             Ok(addr)
@@ -236,7 +234,7 @@ impl Machine {
     /// alignment and bounds. Data memory is viewed as little-endian
     /// bytes packed eight to a word, so a naturally-aligned access never
     /// spans two backing words.
-    pub(crate) fn narrow_addr(
+    fn narrow_addr(
         &self,
         pc: Addr,
         base: Reg,
@@ -260,7 +258,7 @@ impl Machine {
     }
 
     /// Reads a naturally-aligned narrow value at byte address `addr`.
-    pub(crate) fn narrow_load(&self, addr: u64, width: MemWidth, signed: bool) -> u64 {
+    fn narrow_load(&self, addr: u64, width: MemWidth, signed: bool) -> u64 {
         let word = self.mem[(addr >> 3) as usize];
         let lane = (word >> ((addr & 7) * 8)) & lane_mask(width);
         match (width, signed) {
@@ -274,26 +272,22 @@ impl Machine {
     }
 
     /// Writes the low `width` bytes of `value` at byte address `addr`.
-    pub(crate) fn narrow_store(&mut self, addr: u64, width: MemWidth, value: u64) {
+    fn narrow_store(&mut self, addr: u64, width: MemWidth, value: u64) {
         let shift = (addr & 7) * 8;
         let mask = lane_mask(width) << shift;
         let slot = &mut self.mem[(addr >> 3) as usize];
         *slot = (*slot & !mask) | ((value << shift) & mask);
     }
 
-    /// Executes one instruction of `program`.
+    /// Executes `instr` as the instruction at `pc`: updates registers and
+    /// memory, and reports where control goes next. Returns `None` for
+    /// `halt`. The PC, retired count and halt flag are left to the
+    /// caller, which commits them once the next PC is known to be valid.
     ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError`] if the PC leaves the program or a memory
-    /// access is out of bounds.
-    pub fn step(&mut self, program: &Program) -> Result<StepOutcome, ExecError> {
-        if self.halted {
-            return Ok(StepOutcome::Halted);
-        }
-        let pc = self.pc;
-        let instr = program.fetch(pc).ok_or(ExecError::PcOutOfRange { pc })?;
-
+    /// This is the one definition of instruction semantics: [`Machine::step`]
+    /// and the fast-forward executor both run every instruction through it.
+    #[inline(always)]
+    pub(crate) fn execute(&mut self, pc: Addr, instr: Instr) -> Result<Option<Effect>, ExecError> {
         let mut next_pc = pc.next();
         let mut taken = false;
         let mut mem_addr = None;
@@ -366,24 +360,42 @@ impl Machine {
                 next_pc = target;
             }
             Instr::Trap { .. } | Instr::Nop => {}
-            Instr::Halt => {
-                self.halted = true;
-                return Ok(StepOutcome::Halted);
-            }
+            Instr::Halt => return Ok(None),
         }
+        Ok(Some(Effect {
+            next_pc,
+            taken,
+            mem_addr,
+        }))
+    }
 
-        if next_pc.index() >= program.len() {
-            return Err(ExecError::PcOutOfRange { pc: next_pc });
+    /// Executes one instruction of `program`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ExecError`] if the PC leaves the program or a memory
+    /// access is out of bounds or misaligned.
+    pub fn step(&mut self, program: &Program) -> Result<StepOutcome, ExecError> {
+        if self.halted {
+            return Ok(StepOutcome::Halted);
         }
-
-        self.pc = next_pc;
+        let pc = self.pc;
+        let instr = program.fetch(pc).ok_or(ExecError::PcOutOfRange { pc })?;
+        let Some(effect) = self.execute(pc, instr)? else {
+            self.halted = true;
+            return Ok(StepOutcome::Halted);
+        };
+        if effect.next_pc.index() >= program.len() {
+            return Err(ExecError::PcOutOfRange { pc: effect.next_pc });
+        }
+        self.pc = effect.next_pc;
         self.retired += 1;
         Ok(StepOutcome::Executed(ExecRecord {
             pc,
             instr,
-            next_pc,
-            taken,
-            mem_addr,
+            next_pc: effect.next_pc,
+            taken: effect.taken,
+            mem_addr: effect.mem_addr,
         }))
     }
 }
@@ -427,11 +439,6 @@ impl<'p> Interpreter<'p> {
     #[must_use]
     pub fn machine(&self) -> &Machine {
         &self.machine
-    }
-
-    /// Mutable access to the machine (setup helper).
-    pub fn machine_mut(&mut self) -> &mut Machine {
-        &mut self.machine
     }
 
     /// The error that stopped iteration, if any.

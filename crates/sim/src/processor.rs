@@ -27,7 +27,7 @@ const MISFETCH_PENALTY: u64 = 2;
 /// polluting after the machine would have filled its window).
 const MAX_WRONG_PATH_FETCHES: u32 = 64;
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Counters {
     issued: u64,
     cond_branches: u64,
@@ -48,25 +48,6 @@ struct Counters {
 }
 
 impl Counters {
-    fn new() -> Counters {
-        Counters {
-            issued: 0,
-            cond_branches: 0,
-            cond_mispredicts: 0,
-            promoted_faults: 0,
-            promoted_executed: 0,
-            indirect_mispredicts: 0,
-            indirect_executed: 0,
-            return_mispredicts: 0,
-            resolution_cycles: 0,
-            resolution_events: 0,
-            salvaged: 0,
-            class_execs: [0; 4],
-            class_promoted: [0; 4],
-            class_faults: [0; 4],
-        }
-    }
-
     /// Attributes one conditional-branch execution to its plan class.
     fn record_class(
         &mut self,
@@ -97,6 +78,22 @@ enum FetchUpshot {
     Mispredict { done: u64 },
     /// An indirect branch had no prediction: short bubble.
     Misfetch,
+}
+
+/// What the issue path accumulates over one fetch.
+#[derive(Debug, Default)]
+struct FetchIssue {
+    /// Actual directions of the non-promoted conditional branches, for
+    /// predictor training. A fetch carries at most three, and at most
+    /// sixteen instructions, so both lists live on the stack.
+    outcomes: InlineVec<bool, MAX_SEGMENT_BRANCHES>,
+    /// Actual directions of every conditional branch, replayed into the
+    /// global history on repair.
+    history_replay: InlineVec<bool, MAX_SEGMENT_INSTS>,
+    issued: usize,
+    promoted: u64,
+    last_times: Option<IssueTimes>,
+    trap_fetched: bool,
 }
 
 /// Per-run mutable state threaded through the timing loop, so the loop
@@ -200,7 +197,7 @@ impl<T: Tracer> Processor<T> {
         self.oracle.clear();
         self.retire_q.clear();
         let mut rs = RunState {
-            c: Counters::new(),
+            c: Counters::default(),
             acct: CycleAccounting::default(),
             ras_mirror: match self.config.front_end.ras_depth {
                 Some(depth) => ReturnStack::with_depth(depth),
@@ -231,11 +228,7 @@ impl<T: Tracer> Processor<T> {
         // advancing the engine clocks past the run (which would poison
         // a later run on the same processor).
         let total_cycles = rs.cycle.max(rs.last_retire);
-        self.front_end.set_cycle(total_cycles);
-        while let Some((_, rec)) = self.retire_q.pop_front() {
-            self.front_end.retire(&rec);
-        }
-        self.engine.drain_retired(total_cycles);
+        self.drain_to(total_cycles);
         // Final sweep: audit every segment still resident in the cache.
         self.front_end.audit();
 
@@ -360,11 +353,7 @@ impl<T: Tracer> Processor<T> {
                 // advanced past every pending retire time, so draining
                 // to it empties the window.
                 rs.cycle = rs.cycle.max(rs.last_retire);
-                self.front_end.set_cycle(rs.cycle);
-                while let Some((_, rec)) = self.retire_q.pop_front() {
-                    self.front_end.retire(&rec);
-                }
-                self.engine.drain_retired(rs.cycle);
+                self.drain_to(rs.cycle);
             }
         }
         stats.measured = rs.c.issued;
@@ -387,22 +376,12 @@ impl<T: Tracer> Processor<T> {
     ) -> u64 {
         let mut done = 0u64;
         while done < want {
-            let rec = match self.oracle.pop_front() {
-                Some(rec) => rec,
-                None => match interp.next() {
-                    Some(rec) => rec,
-                    None => break,
-                },
+            // Not `refill`: warming needs no look-ahead, and copying each
+            // record through the buffer costs ~5% of sampled throughput.
+            let Some(rec) = self.oracle.pop_front().or_else(|| interp.next()) else {
+                break;
             };
-            match rec.control_kind() {
-                ControlKind::Call | ControlKind::IndirectCall => {
-                    ras_mirror.push(u64::from(rec.pc.next()));
-                }
-                ControlKind::Return => {
-                    let _ = ras_mirror.pop();
-                }
-                _ => {}
-            }
+            mirror_ras(ras_mirror, &rec);
             if let Some(addr) = rec.mem_addr {
                 let _ = self.mem.data_access(addr * 8); // word -> byte address
             }
@@ -431,6 +410,7 @@ impl<T: Tracer> Processor<T> {
         };
         let mut pc = first.pc;
         let start = rs.c.issued;
+        let (acct_start, cycle_start) = (rs.acct.total(), rs.cycle);
 
         while rs.c.issued - start < budget {
             refill(&mut self.oracle, interp);
@@ -476,17 +456,8 @@ impl<T: Tracer> Processor<T> {
             let fetch_cycle = rs.cycle;
 
             // --- Validate the active portion against the oracle ---
-            // A fetch carries at most three non-promoted conditional
-            // branches and sixteen instructions, so both scratch lists
-            // live on the stack.
-            let mut outcomes: InlineVec<bool, MAX_SEGMENT_BRANCHES> = InlineVec::new();
-            let mut history_replay: InlineVec<bool, MAX_SEGMENT_INSTS> = InlineVec::new();
+            let mut f = FetchIssue::default();
             let mut upshot = FetchUpshot::Clean;
-            let mut validated = 0usize;
-            let mut promoted_in_fetch = 0u64;
-            let mut last_times: Option<IssueTimes> = None;
-            let mut trap_fetched = false;
-
             for fi in bundle.active() {
                 let Some(front) = self.oracle.front() else {
                     break;
@@ -506,68 +477,14 @@ impl<T: Tracer> Processor<T> {
                     break;
                 }
                 let rec = self.oracle.pop_front().expect("checked");
-                let times = self.engine.issue(&rec, fetch_cycle, &mut self.mem);
-                self.retire_q.push_back((times.retire, rec));
-                rs.last_retire = rs.last_retire.max(times.retire);
-                last_times = Some(times);
-                rs.c.issued += 1;
-                validated += 1;
-                match rec.control_kind() {
-                    ControlKind::Call | ControlKind::IndirectCall => {
-                        rs.ras_mirror.push(u64::from(rec.pc.next()));
-                    }
-                    ControlKind::Return => {
-                        let _ = rs.ras_mirror.pop();
-                    }
-                    ControlKind::Trap => trap_fetched = true,
-                    _ => {}
-                }
-                if rec.is_cond_branch() {
-                    history_replay.push(rec.taken);
-                    // Well-formed bundles always attach a direction to a
-                    // conditional branch; a missing one is possible only
-                    // downstream of an escaped corruption — treat it as
-                    // a mispredict rather than panicking.
-                    let predicted = fi.pred_taken.unwrap_or(!rec.taken);
-                    rs.c.record_class(
-                        self.plan_classes.as_ref(),
-                        rec.pc,
-                        fi.promoted,
-                        fi.promoted && predicted != rec.taken,
-                    );
-                    if fi.promoted {
-                        promoted_in_fetch += 1;
-                        if predicted == rec.taken {
-                            rs.c.promoted_executed += 1;
-                        } else {
-                            rs.c.promoted_faults += 1;
-                            if T::ENABLED {
-                                self.front_end
-                                    .tracer_mut()
-                                    .emit(TraceEvent::PromotedFault { pc: rec.pc });
-                            }
-                            upshot = FetchUpshot::Mispredict { done: times.done };
-                            break;
-                        }
-                    } else {
-                        rs.c.cond_branches += 1;
-                        outcomes.push(rec.taken);
-                        if predicted != rec.taken {
-                            rs.c.cond_mispredicts += 1;
-                            if T::ENABLED {
-                                self.front_end
-                                    .tracer_mut()
-                                    .emit(TraceEvent::CondMispredict {
-                                        pc: rec.pc,
-                                        taken: rec.taken,
-                                    });
-                            }
-                            upshot = FetchUpshot::Mispredict { done: times.done };
-                            break;
-                        }
-                    }
+                if let Some(done) =
+                    self.issue(rs, &mut f, rec, fetch_cycle, fi.promoted, fi.pred_taken)
+                {
+                    upshot = FetchUpshot::Mispredict { done };
+                    break;
                 }
             }
+            let validated = f.issued;
 
             // --- Next-PC resolution (when the path was clean) ---
             let mut resolved_next: Option<Addr> = None;
@@ -592,7 +509,7 @@ impl<T: Tracer> Processor<T> {
                                             },
                                         );
                                     }
-                                    let done = last_times.map_or(fetch_cycle + 1, |t| t.done);
+                                    let done = f.last_times.map_or(fetch_cycle + 1, |t| t.done);
                                     upshot = FetchUpshot::Mispredict { done };
                                 }
                                 None => upshot = FetchUpshot::Misfetch,
@@ -616,7 +533,7 @@ impl<T: Tracer> Processor<T> {
                                             .tracer_mut()
                                             .emit(TraceEvent::IndirectMispredict { pc: ind_pc });
                                     }
-                                    let done = last_times.map_or(fetch_cycle + 1, |t| t.done);
+                                    let done = f.last_times.map_or(fetch_cycle + 1, |t| t.done);
                                     upshot = FetchUpshot::Mispredict { done };
                                     resolved_next = Some(actual);
                                 }
@@ -631,48 +548,20 @@ impl<T: Tracer> Processor<T> {
             }
 
             // --- Salvage inactive issue on a misprediction ---
-            let mut salvaged = 0usize;
             if matches!(upshot, FetchUpshot::Mispredict { .. }) {
                 for fi in bundle.inactive() {
                     let Some(front) = self.oracle.front() else {
                         break;
                     };
-                    if front.pc != fi.pc {
+                    if front.pc != fi.pc || fi.pred_taken.is_some_and(|dir| dir != front.taken) {
                         break;
                     }
-                    if let Some(dir) = fi.pred_taken {
-                        if dir != front.taken {
-                            break;
-                        }
-                    }
+                    // The direction check above means no salvaged branch
+                    // is mispredicted: issue it as predicted correctly.
                     let rec = self.oracle.pop_front().expect("checked");
-                    let times = self.engine.issue(&rec, fetch_cycle, &mut self.mem);
-                    self.retire_q.push_back((times.retire, rec));
-                    rs.last_retire = rs.last_retire.max(times.retire);
-                    rs.c.issued += 1;
-                    salvaged += 1;
-                    match rec.control_kind() {
-                        ControlKind::Call | ControlKind::IndirectCall => {
-                            rs.ras_mirror.push(u64::from(rec.pc.next()));
-                        }
-                        ControlKind::Return => {
-                            let _ = rs.ras_mirror.pop();
-                        }
-                        _ => {}
-                    }
-                    if rec.is_cond_branch() {
-                        history_replay.push(rec.taken);
-                        rs.c.record_class(self.plan_classes.as_ref(), rec.pc, fi.promoted, false);
-                        if fi.promoted {
-                            promoted_in_fetch += 1;
-                            rs.c.promoted_executed += 1;
-                        } else {
-                            rs.c.cond_branches += 1;
-                            outcomes.push(rec.taken);
-                        }
-                    }
+                    self.issue(rs, &mut f, rec, fetch_cycle, fi.promoted, Some(rec.taken));
                 }
-                rs.c.salvaged += salvaged as u64;
+                rs.c.salvaged += (f.issued - validated) as u64;
             }
 
             // --- Stats + training ---
@@ -681,7 +570,7 @@ impl<T: Tracer> Processor<T> {
             } else {
                 bundle.base_reason
             };
-            let size = validated + salvaged;
+            let size = f.issued;
             {
                 let stats = self.front_end.stats_mut();
                 stats.record_fetch(reason, size, bundle.predictions_used);
@@ -689,7 +578,7 @@ impl<T: Tracer> Processor<T> {
                     FetchSource::TraceCache => stats.tc_fetches += 1,
                     FetchSource::ICache => stats.icache_fetches += 1,
                 }
-                stats.promoted_fetched += promoted_in_fetch;
+                stats.promoted_fetched += f.promoted;
             }
             if T::ENABLED {
                 self.front_end.tracer_mut().emit(TraceEvent::Fetch {
@@ -699,22 +588,22 @@ impl<T: Tracer> Processor<T> {
                         FetchSource::TraceCache => FetchOrigin::TraceCache,
                         FetchSource::ICache => FetchOrigin::ICache,
                     },
-                    cond_branches: outcomes.len() as u8,
-                    promoted: promoted_in_fetch as u8,
+                    cond_branches: f.outcomes.len() as u8,
+                    promoted: f.promoted as u8,
                     mispredicted: matches!(upshot, FetchUpshot::Mispredict { .. }),
                 });
             }
-            self.front_end.train(&bundle.pred, &outcomes);
+            self.front_end.train(&bundle.pred, &f.outcomes);
 
             // --- Advance ---
             match upshot {
                 FetchUpshot::Clean => {
                     rs.acct.useful_fetch += 1;
                     rs.cycle += 1;
-                    if trap_fetched {
+                    if f.trap_fetched {
                         // Serializing: fetch stalls until the trap
                         // retires.
-                        let trap_retire = last_times.map_or(rs.cycle, |t| t.retire);
+                        let trap_retire = f.last_times.map_or(rs.cycle, |t| t.retire);
                         if trap_retire > rs.cycle {
                             rs.acct.traps += trap_retire - rs.cycle;
                             rs.cycle = trap_retire;
@@ -763,7 +652,7 @@ impl<T: Tracer> Processor<T> {
                     // outcomes; RAS from the committed mirror.
                     self.front_end
                         .restore_history(bundle.pred.history.snapshot());
-                    for &t in &history_replay {
+                    for &t in &f.history_replay {
                         self.front_end.push_history(t);
                     }
                     self.front_end.restore_ras(&rs.ras_mirror);
@@ -787,6 +676,86 @@ impl<T: Tracer> Processor<T> {
                 }
             }
         }
+        debug_assert_eq!(
+            rs.acct.total() - acct_start,
+            rs.cycle - cycle_start,
+            "cycle accounting lost track of the clock"
+        );
+    }
+
+    /// Issues `rec`, a correct-path instruction of the current fetch, and
+    /// does its per-record bookkeeping: retire queue, committed-RAS
+    /// mirror, branch counters and the fetch's outcome lists. `promoted`
+    /// says whether the fetch carried it as a promoted branch; `predicted`
+    /// is the direction the front end assumed for a conditional branch.
+    /// Returns the branch's completion cycle when that direction was wrong.
+    #[inline(always)]
+    fn issue(
+        &mut self,
+        rs: &mut RunState,
+        f: &mut FetchIssue,
+        rec: ExecRecord,
+        fetch_cycle: u64,
+        promoted: bool,
+        predicted: Option<bool>,
+    ) -> Option<u64> {
+        let times = self.engine.issue(&rec, fetch_cycle, &mut self.mem);
+        self.retire_q.push_back((times.retire, rec));
+        rs.last_retire = rs.last_retire.max(times.retire);
+        rs.c.issued += 1;
+        f.issued += 1;
+        f.last_times = Some(times);
+        f.trap_fetched |= rec.control_kind() == ControlKind::Trap;
+        mirror_ras(&mut rs.ras_mirror, &rec);
+        if !rec.is_cond_branch() {
+            return None;
+        }
+        f.history_replay.push(rec.taken);
+        // Well-formed bundles always attach a direction to a conditional
+        // branch; a missing one is possible only downstream of an escaped
+        // corruption — treat it as a mispredict rather than panicking.
+        let wrong = predicted != Some(rec.taken);
+        rs.c.record_class(
+            self.plan_classes.as_ref(),
+            rec.pc,
+            promoted,
+            promoted && wrong,
+        );
+        let event = if promoted {
+            f.promoted += 1;
+            if !wrong {
+                rs.c.promoted_executed += 1;
+                return None;
+            }
+            rs.c.promoted_faults += 1;
+            TraceEvent::PromotedFault { pc: rec.pc }
+        } else {
+            rs.c.cond_branches += 1;
+            f.outcomes.push(rec.taken);
+            if !wrong {
+                return None;
+            }
+            rs.c.cond_mispredicts += 1;
+            TraceEvent::CondMispredict {
+                pc: rec.pc,
+                taken: rec.taken,
+            }
+        };
+        if T::ENABLED {
+            self.front_end.tracer_mut().emit(event);
+        }
+        Some(times.done)
+    }
+
+    /// Retires everything in flight with the clock at `cycle`, which
+    /// must bound every pending retire time. Draining to such a bound
+    /// empties the window without advancing the engine clocks past it.
+    fn drain_to(&mut self, cycle: u64) {
+        self.front_end.set_cycle(cycle);
+        while let Some((_, rec)) = self.retire_q.pop_front() {
+            self.front_end.retire(&rec);
+        }
+        self.engine.drain_retired(cycle);
     }
 
     /// Simulates wrong-path fetching between a misprediction and its
@@ -798,12 +767,8 @@ impl<T: Tracer> Processor<T> {
         fetch_cycle: u64,
         redirect: u64,
     ) {
-        let mut wp_pc = match bundle.next_pc {
-            NextPc::Known(a) => a,
-            NextPc::Return { predicted } | NextPc::Indirect { predicted, .. } => match predicted {
-                Some(a) => a,
-                None => return,
-            },
+        let Some(mut wp_pc) = predicted_target(bundle.next_pc) else {
+            return;
         };
         let mut wp_cycle = fetch_cycle + 1;
         let mut fetches = 0u32;
@@ -811,15 +776,10 @@ impl<T: Tracer> Processor<T> {
             let wp = self.front_end.fetch(wp_pc, program, &mut self.mem);
             fetches += 1;
             wp_cycle += 1 + u64::from(wp.icache_latency);
-            wp_pc = match wp.next_pc {
-                NextPc::Known(a) => a,
-                NextPc::Return { predicted } | NextPc::Indirect { predicted, .. } => {
-                    match predicted {
-                        Some(a) => a,
-                        None => break,
-                    }
-                }
-            };
+            match predicted_target(wp.next_pc) {
+                Some(a) => wp_pc = a,
+                None => break,
+            }
         }
     }
 
@@ -913,6 +873,27 @@ impl<T: Tracer> Processor<T> {
                     .map_or([0; 4], tc_predict::BiasTable::class_promotions),
             }),
         }
+    }
+}
+
+/// Mirrors `rec`'s effect on the return stack into the committed RAS.
+#[inline]
+fn mirror_ras(ras: &mut ReturnStack, rec: &ExecRecord) {
+    match rec.control_kind() {
+        ControlKind::Call | ControlKind::IndirectCall => ras.push(u64::from(rec.pc.next())),
+        ControlKind::Return => {
+            let _ = ras.pop();
+        }
+        _ => {}
+    }
+}
+
+/// Where fetch goes after a bundle when it follows the prediction: the
+/// known or predicted target (`None` when there is no prediction).
+fn predicted_target(next: NextPc) -> Option<Addr> {
+    match next {
+        NextPc::Known(a) => Some(a),
+        NextPc::Return { predicted } | NextPc::Indirect { predicted, .. } => predicted,
     }
 }
 
@@ -1012,7 +993,7 @@ mod tests {
             r.cycles
         );
         assert!(
-            covered * 10 >= r.cycles * 8,
+            covered * 100 >= r.cycles * 99,
             "accounting {covered} covers too little of {}",
             r.cycles
         );

@@ -27,6 +27,12 @@ trap 'rm -f "$bench_artifact" "$trace_artifact"' EXIT
 target/release/tw bench --smoke --out "$bench_artifact"
 target/release/tw bench --check "$bench_artifact"
 
+echo "==> twbench --smoke"
+# The repo's benchmark (BENCHMARK.json) at a few seconds per workload:
+# traced and untraced, with every correctness check; exits 1 on a failure.
+cargo run --release --offline --quiet \
+  --manifest-path examples/twbench/Cargo.toml -- --smoke >/dev/null
+
 echo "==> tw bench --compare (self)"
 # An artifact compared against itself has zero deltas; any exit other
 # than success means the compare path itself broke.
@@ -246,4 +252,4 @@ rm -f "$bad_asm" "$bench_artifact.trunc" "$bench_artifact.plan" "$bench_artifact
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "OK: build + tests + lint + bench smoke + compare + paper smoke + trace smoke + faults smoke + fast-forward/checkpoint smoke + rv32i smoke + analyze/plan smoke + serve load smoke + chaos/crash-recovery smoke + error layer + formatting all clean"
+echo "OK: build + tests + lint + bench smoke + twbench smoke + compare + paper smoke + trace smoke + faults smoke + fast-forward/checkpoint smoke + rv32i smoke + analyze/plan smoke + serve load smoke + chaos/crash-recovery smoke + error layer + formatting all clean"
