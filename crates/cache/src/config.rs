@@ -95,13 +95,13 @@ impl CacheConfig {
     /// The set index for `addr`.
     #[must_use]
     pub fn set_of(&self, addr: u64) -> usize {
-        ((addr / self.line_bytes) as usize) & (self.sets - 1)
+        (addr >> self.line_bytes.trailing_zeros()) as usize & (self.sets - 1)
     }
 
     /// The tag for `addr` (line address with set bits removed).
     #[must_use]
     pub fn tag_of(&self, addr: u64) -> u64 {
-        addr / self.line_bytes / self.sets as u64
+        addr >> (self.line_bytes.trailing_zeros() + self.sets.trailing_zeros())
     }
 }
 

@@ -13,14 +13,13 @@ pub struct AccessResult {
     pub evicted: Option<u64>,
 }
 
-#[derive(Debug, Clone)]
-struct Set {
-    /// Resident line tags, most-recently-used first.
-    tags: Vec<u64>,
-}
-
 /// A set-associative cache with true-LRU replacement, modeling only the
 /// tag store (no data).
+///
+/// Tags live in one flat `sets × ways` array; each set's resident tags
+/// are the first `lens[set]` of its `ways` slots, most recently used
+/// first. Set and tag come from shifts and a mask precomputed from the
+/// (power-of-two) geometry.
 ///
 /// # Example
 ///
@@ -35,7 +34,14 @@ struct Set {
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     config: CacheConfig,
-    sets: Vec<Set>,
+    /// `log2(line_bytes)`: strips the line offset.
+    line_shift: u32,
+    /// `log2(line_bytes * sets)`: strips the offset and the set bits.
+    tag_shift: u32,
+    /// `ways` tag slots per set, set-major.
+    tags: Vec<u64>,
+    /// Resident lines per set.
+    lens: Vec<u32>,
     stats: CacheStats,
 }
 
@@ -43,13 +49,13 @@ impl SetAssocCache {
     /// Creates an empty cache with the given geometry.
     #[must_use]
     pub fn new(config: CacheConfig) -> SetAssocCache {
+        let line_shift = config.line_bytes.trailing_zeros();
         SetAssocCache {
             config,
-            sets: (0..config.sets)
-                .map(|_| Set {
-                    tags: Vec::with_capacity(config.ways),
-                })
-                .collect(),
+            line_shift,
+            tag_shift: line_shift + config.sets.trailing_zeros(),
+            tags: vec![0; config.sets * config.ways],
+            lens: vec![0; config.sets],
             stats: CacheStats::default(),
         }
     }
@@ -72,33 +78,45 @@ impl SetAssocCache {
         self.stats = CacheStats::default();
     }
 
+    /// The set index and tag of `addr`.
+    fn locate(&self, addr: u64) -> (usize, u64) {
+        let set = (addr >> self.line_shift) as usize & (self.config.sets - 1);
+        (set, addr >> self.tag_shift)
+    }
+
+    /// The tag slots of set `si`, and how many of them are resident.
+    fn set_mut(&mut self, si: usize) -> (&mut [u64], usize) {
+        let ways = self.config.ways;
+        let len = self.lens[si] as usize;
+        (&mut self.tags[si * ways..(si + 1) * ways], len)
+    }
+
     /// Accesses the line containing `addr`, allocating it on a miss and
     /// updating LRU state and statistics.
     pub fn access(&mut self, addr: u64) -> AccessResult {
-        let set_idx = self.config.set_of(addr);
-        let tag = self.config.tag_of(addr);
-        let ways = self.config.ways;
-        let set = &mut self.sets[set_idx];
-        if let Some(pos) = set.tags.iter().position(|&t| t == tag) {
-            set.tags.remove(pos);
-            set.tags.insert(0, tag);
+        let (si, tag) = self.locate(addr);
+        let (line_shift, tag_shift) = (self.line_shift, self.tag_shift);
+        let (set, len) = self.set_mut(si);
+        if let Some(pos) = set[..len].iter().position(|&t| t == tag) {
+            set.copy_within(..pos, 1);
+            set[0] = tag;
             self.stats.hits += 1;
             return AccessResult {
                 hit: true,
                 evicted: None,
             };
         }
+        let full = len == set.len();
+        let evicted = full.then(|| (set[len - 1] << tag_shift) | ((si as u64) << line_shift));
+        let kept = if full { len - 1 } else { len };
+        set.copy_within(..kept, 1);
+        set[0] = tag;
         self.stats.misses += 1;
-        let evicted = if set.tags.len() == ways {
-            let victim = set.tags.pop().expect("full set has a victim");
-            Some((victim * self.config.sets as u64 + set_idx as u64) * self.config.line_bytes)
-        } else {
-            None
-        };
-        if evicted.is_some() {
+        if full {
             self.stats.evictions += 1;
+        } else {
+            self.lens[si] += 1;
         }
-        set.tags.insert(0, tag);
         AccessResult {
             hit: false,
             evicted,
@@ -108,36 +126,33 @@ impl SetAssocCache {
     /// Checks residency without updating LRU state or statistics.
     #[must_use]
     pub fn probe(&self, addr: u64) -> bool {
-        let set = &self.sets[self.config.set_of(addr)];
-        let tag = self.config.tag_of(addr);
-        set.tags.contains(&tag)
+        let (si, tag) = self.locate(addr);
+        let base = si * self.config.ways;
+        self.tags[base..base + self.lens[si] as usize].contains(&tag)
     }
 
     /// Invalidates the line containing `addr` if resident; returns whether
     /// a line was removed.
     pub fn invalidate(&mut self, addr: u64) -> bool {
-        let set_idx = self.config.set_of(addr);
-        let tag = self.config.tag_of(addr);
-        let set = &mut self.sets[set_idx];
-        if let Some(pos) = set.tags.iter().position(|&t| t == tag) {
-            set.tags.remove(pos);
-            true
-        } else {
-            false
-        }
+        let (si, tag) = self.locate(addr);
+        let (set, len) = self.set_mut(si);
+        let Some(pos) = set[..len].iter().position(|&t| t == tag) else {
+            return false;
+        };
+        set.copy_within(pos + 1..len, pos);
+        self.lens[si] -= 1;
+        true
     }
 
     /// Empties the cache, keeping statistics.
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            set.tags.clear();
-        }
+        self.lens.fill(0);
     }
 
     /// Number of resident lines.
     #[must_use]
     pub fn resident_lines(&self) -> usize {
-        self.sets.iter().map(|s| s.tags.len()).sum()
+        self.lens.iter().map(|&n| n as usize).sum()
     }
 }
 
@@ -214,5 +229,126 @@ mod tests {
         c.access(b);
         let r = c.access(d);
         assert_eq!(r.evicted, Some(a));
+    }
+}
+
+/// Differential test: the flat tag store against a reference copy of the
+/// per-set MRU lists it replaced, under seeded operation sequences.
+#[cfg(test)]
+mod differential {
+    use super::*;
+    use tc_workloads::rng::{Rng, Xoshiro256PlusPlus};
+
+    /// The previous tag store: each set a `Vec` of tags, most recently
+    /// used first, with set and tag found by division.
+    struct Reference {
+        config: CacheConfig,
+        sets: Vec<Vec<u64>>,
+        stats: CacheStats,
+    }
+
+    impl Reference {
+        fn locate(&self, addr: u64) -> (usize, u64) {
+            let line = addr / self.config.line_bytes;
+            let sets = self.config.sets as u64;
+            ((line % sets) as usize, line / sets)
+        }
+
+        fn access(&mut self, addr: u64) -> AccessResult {
+            let (si, tag) = self.locate(addr);
+            let (sets, line_bytes) = (self.config.sets as u64, self.config.line_bytes);
+            let set = &mut self.sets[si];
+            if let Some(pos) = set.iter().position(|&t| t == tag) {
+                set.remove(pos);
+                set.insert(0, tag);
+                self.stats.hits += 1;
+                return AccessResult {
+                    hit: true,
+                    evicted: None,
+                };
+            }
+            self.stats.misses += 1;
+            let evicted = (set.len() == self.config.ways).then(|| {
+                self.stats.evictions += 1;
+                let victim = set.pop().expect("full set");
+                (victim * sets + si as u64) * line_bytes
+            });
+            set.insert(0, tag);
+            AccessResult {
+                hit: false,
+                evicted,
+            }
+        }
+
+        fn probe(&self, addr: u64) -> bool {
+            let (si, tag) = self.locate(addr);
+            self.sets[si].contains(&tag)
+        }
+
+        fn invalidate(&mut self, addr: u64) -> bool {
+            let (si, tag) = self.locate(addr);
+            let set = &mut self.sets[si];
+            let pos = set.iter().position(|&t| t == tag);
+            pos.map(|pos| set.remove(pos)).is_some()
+        }
+    }
+
+    /// The cache's resident tags, set by set, most recently used first.
+    fn contents(c: &SetAssocCache) -> Vec<Vec<u64>> {
+        let ways = c.config.ways;
+        (0..c.config.sets)
+            .map(|si| c.tags[si * ways..si * ways + c.lens[si] as usize].to_vec())
+            .collect()
+    }
+
+    fn run(config: CacheConfig, seed: u64, steps: usize) {
+        let mut r = Xoshiro256PlusPlus::seed_from_u64(seed);
+        let mut c = SetAssocCache::new(config);
+        let mut reference = Reference {
+            config,
+            sets: vec![Vec::new(); config.sets],
+            stats: CacheStats::default(),
+        };
+        // Three lines per way of the cache, so sets conflict often.
+        let span = 3 * config.capacity_bytes();
+        for step in 0..steps {
+            let addr = r.gen_range(0..span);
+            let op = r.gen_range(0u32..100);
+            let at = format!("{config:?} seed {seed} step {step} op {op} addr {addr:#x}");
+            match op {
+                0..=69 => assert_eq!(c.access(addr), reference.access(addr), "{at}: access"),
+                70..=84 => assert_eq!(c.probe(addr), reference.probe(addr), "{at}: probe"),
+                85..=97 => assert_eq!(
+                    c.invalidate(addr),
+                    reference.invalidate(addr),
+                    "{at}: invalidate"
+                ),
+                _ => {
+                    c.flush();
+                    reference.sets.iter_mut().for_each(Vec::clear);
+                }
+            }
+            assert_eq!(*c.stats(), reference.stats, "{at}: stats");
+            assert_eq!(contents(&c), reference.sets, "{at}: contents (MRU order)");
+            assert_eq!(
+                c.resident_lines(),
+                reference.sets.iter().map(Vec::len).sum::<usize>(),
+                "{at}: resident_lines"
+            );
+        }
+    }
+
+    #[test]
+    fn matches_the_per_set_mru_lists() {
+        for ways in [1, 2, 4] {
+            for sets in [1, 2, 8] {
+                for line_bytes in [16, 64] {
+                    let config = CacheConfig::new(sets, ways, line_bytes);
+                    for seed in 0..10 {
+                        run(config, 0x5E7A_0000 + seed, 500);
+                    }
+                }
+            }
+        }
     }
 }

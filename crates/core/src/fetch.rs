@@ -137,6 +137,51 @@ impl FetchBundle {
     }
 }
 
+/// What a fetch decides besides its instruction list: all of a
+/// [`FetchBundle`] but the fetch address and the instructions.
+struct FetchHead {
+    active_len: usize,
+    source: FetchSource,
+    base_reason: TerminationReason,
+    predictions_used: usize,
+    icache_latency: u32,
+    next_pc: NextPc,
+    pred: PredContext,
+}
+
+/// Where a fetch steered the front end — all a wrong-path walk keeps of
+/// it (see [`FrontEnd::fetch_next`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FetchStep {
+    /// Predicted next fetch address.
+    pub next_pc: NextPc,
+    /// Extra stall cycles from instruction-cache misses.
+    pub icache_latency: u32,
+}
+
+/// Where the fetch body puts the instructions it delivers. The body is
+/// monomorphized per sink, as it is per [`Tracer`]: [`FrontEnd::fetch`]
+/// collects them into the bundle, [`FrontEnd::fetch_next`] drops them,
+/// so a wrong-path fetch builds no instruction list at all.
+trait FetchSink {
+    fn push(&mut self, inst: FetchedInst);
+}
+
+impl FetchSink for InlineVec<FetchedInst, MAX_FETCH> {
+    #[inline(always)]
+    fn push(&mut self, inst: FetchedInst) {
+        InlineVec::push(self, inst);
+    }
+}
+
+/// The sink of a fetch whose instructions nobody reads.
+struct Discard;
+
+impl FetchSink for Discard {
+    #[inline(always)]
+    fn push(&mut self, _: FetchedInst) {}
+}
+
 #[derive(Debug, Clone)]
 enum Predictor {
     Multi(MultiPredictor),
@@ -503,6 +548,49 @@ impl<T: Tracer> FrontEnd<T> {
     /// and speculatively updates the global history and return stack for
     /// the *active* instructions.
     pub fn fetch(&mut self, pc: Addr, program: &Program, mem: &mut MemoryHierarchy) -> FetchBundle {
+        let mut insts = InlineVec::new();
+        let head = self.fetch_into(pc, program, mem, &mut insts);
+        FetchBundle {
+            fetch_pc: pc,
+            insts,
+            active_len: head.active_len,
+            source: head.source,
+            base_reason: head.base_reason,
+            predictions_used: head.predictions_used,
+            icache_latency: head.icache_latency,
+            next_pc: head.next_pc,
+            pred: head.pred,
+        }
+    }
+
+    /// Performs the same fetch as [`FrontEnd::fetch`] — every effect on
+    /// the caches, predictors, history, RAS, sanitizer, quarantine and
+    /// tracer is identical — but delivers no instructions, only where
+    /// the fetch went. Wrong-path walks use it: they model cache
+    /// pollution and steer by the predicted next address, and nothing
+    /// reads the instructions they fetch.
+    pub fn fetch_next(
+        &mut self,
+        pc: Addr,
+        program: &Program,
+        mem: &mut MemoryHierarchy,
+    ) -> FetchStep {
+        let head = self.fetch_into(pc, program, mem, &mut Discard);
+        FetchStep {
+            next_pc: head.next_pc,
+            icache_latency: head.icache_latency,
+        }
+    }
+
+    /// The one fetch body behind [`FrontEnd::fetch`] and
+    /// [`FrontEnd::fetch_next`]; the delivered instructions go to `out`.
+    fn fetch_into<S: FetchSink>(
+        &mut self,
+        pc: Addr,
+        program: &Program,
+        mem: &mut MemoryHierarchy,
+        out: &mut S,
+    ) -> FetchHead {
         // Predict up to three directions from the fetch address.
         let history = self.history;
         let (dirs, mbp_entry) = match &self.predictor {
@@ -525,9 +613,8 @@ impl<T: Tracer> FrontEnd<T> {
         };
 
         // The trace cache is moved out of `self` for the duration of the
-        // lookup so the bundle can be built directly from the resident
-        // segment's slice (no per-hit copy of the line) while `self`
-        // updates history and RAS.
+        // lookup so the fetch can read the resident segment's slice (no
+        // per-hit copy of the line) while `self` updates history and RAS.
         if let Some(mut tc) = self.trace_cache.take() {
             let path_assoc = tc.config().path_assoc;
             let hit = if !path_assoc {
@@ -554,10 +641,11 @@ impl<T: Tracer> FrontEnd<T> {
                 tc.lookup_best(pc, &dirs)
             };
             // A hit whose segment fails the sanitizer's structural
-            // checks is quarantined: the bundle is discarded, the line
-            // invalidated, and the fetch recovers through the i-cache.
+            // checks is quarantined: nothing is delivered from it, the
+            // line is invalidated, and the fetch recovers through the
+            // i-cache.
             let mut quarantined: Option<Addr> = None;
-            let bundle = hit.and_then(|seg| {
+            let head = hit.and_then(|seg| {
                 let errors_before = self.sanitizer.stats().errors;
                 self.sanitizer.check_hit(seg.insts());
                 if self.sanitizer.stats().errors > errors_before {
@@ -565,20 +653,20 @@ impl<T: Tracer> FrontEnd<T> {
                     return None;
                 }
                 let total = seg.insts().len();
-                let bundle =
-                    self.fetch_from_segment(pc, seg.insts(), seg.end_reason(), &dirs, pred_ctx);
+                let head =
+                    self.fetch_from_segment(seg.insts(), seg.end_reason(), &dirs, pred_ctx, out);
                 if T::ENABLED {
                     self.tracer.emit(TraceEvent::TcHit {
                         pc,
-                        active: bundle.active_len as u8,
+                        active: head.active_len as u8,
                         total: total as u8,
                         full: !matches!(
-                            bundle.base_reason,
+                            head.base_reason,
                             TerminationReason::PartialMatch | TerminationReason::MaximumBrs
                         ),
                     });
                 }
-                Some(bundle)
+                Some(head)
             });
             if let Some(bad) = quarantined {
                 tc.invalidate(bad);
@@ -590,23 +678,23 @@ impl<T: Tracer> FrontEnd<T> {
                 }
             }
             self.trace_cache = Some(tc);
-            if let Some(bundle) = bundle {
-                return bundle;
+            if let Some(head) = head {
+                return head;
             }
             if T::ENABLED {
                 self.tracer.emit(TraceEvent::TcMiss { pc });
             }
             if quarantined.is_some() {
-                let bundle = self.fetch_from_icache(pc, program, mem, &dirs, &mut pred_ctx);
+                let head = self.fetch_from_icache(pc, program, mem, &dirs, &mut pred_ctx, out);
                 self.quarantine.recovered += 1;
-                self.quarantine.recovery_cycles += u64::from(bundle.icache_latency);
+                self.quarantine.recovery_cycles += u64::from(head.icache_latency);
                 if T::ENABLED {
                     self.tracer.emit(TraceEvent::FaultRecovered { pc });
                 }
-                return bundle;
+                return head;
             }
         }
-        self.fetch_from_icache(pc, program, mem, &dirs, &mut pred_ctx)
+        self.fetch_from_icache(pc, program, mem, &dirs, &mut pred_ctx, out)
     }
 
     /// How many individual branch predictions the configured predictor
@@ -620,14 +708,14 @@ impl<T: Tracer> FrontEnd<T> {
         }
     }
 
-    fn fetch_from_segment(
+    fn fetch_from_segment<S: FetchSink>(
         &mut self,
-        pc: Addr,
         insts: &[SegmentInst],
         end_reason: crate::segment::SegEndReason,
         dirs: &[bool; 3],
         mut pred_ctx: PredContext,
-    ) -> FetchBundle {
+        out: &mut S,
+    ) -> FetchHead {
         // Resolve the predictions available to this fetch: up to
         // `bandwidth` directions for the line's non-promoted branches.
         let bandwidth = self.predictor_bandwidth();
@@ -687,8 +775,8 @@ impl<T: Tracer> FrontEnd<T> {
         }
 
         // Phase 2: emit the active prefix, updating history and RAS.
-        let mut out: InlineVec<FetchedInst, MAX_FETCH> = InlineVec::new();
         let mut pred_i = 0usize;
+        let mut last_assumed = None;
         for si in &insts[..active_len] {
             let assumed = if si.instr.is_cond_branch() {
                 if let Some(dir) = si.promoted {
@@ -701,6 +789,7 @@ impl<T: Tracer> FrontEnd<T> {
             } else {
                 None
             };
+            last_assumed = assumed;
             out.push(FetchedInst {
                 pc: si.pc,
                 instr: si.instr,
@@ -750,7 +839,7 @@ impl<T: Tracer> FrontEnd<T> {
             // the sanitizer can break that, so degrade to sequential
             // fetch instead of panicking (the driver's dispatch check
             // catches the divergence).
-            let pred = out[active_len - 1].pred_taken.unwrap_or(false);
+            let pred = last_assumed.unwrap_or(false);
             match last_active.instr {
                 Instr::Branch { target, .. } => {
                     if pred {
@@ -785,9 +874,7 @@ impl<T: Tracer> FrontEnd<T> {
         } else {
             TerminationReason::PartialMatch
         };
-        FetchBundle {
-            fetch_pc: pc,
-            insts: out,
+        FetchHead {
             active_len,
             source: FetchSource::TraceCache,
             base_reason,
@@ -798,14 +885,15 @@ impl<T: Tracer> FrontEnd<T> {
         }
     }
 
-    fn fetch_from_icache(
+    fn fetch_from_icache<S: FetchSink>(
         &mut self,
         pc: Addr,
         program: &Program,
         mem: &mut MemoryHierarchy,
         dirs: &[bool; 3],
         pred_ctx: &mut PredContext,
-    ) -> FetchBundle {
+        out: &mut S,
+    ) -> FetchHead {
         let line_bytes = mem.config().icache.line_bytes;
         let first = mem.instruction_fetch(pc.byte_addr());
         let latency = first.cycles.saturating_sub(mem.config().l1_latency);
@@ -816,14 +904,15 @@ impl<T: Tracer> FrontEnd<T> {
             }
         }
 
-        let mut out: InlineVec<FetchedInst, MAX_FETCH> = InlineVec::new();
+        // Every instruction the walk delivers is active.
+        let mut delivered = 0usize;
         let mut cur = pc;
         let mut used = 0usize;
         let mut reason = TerminationReason::ICache;
         let next_pc;
 
         loop {
-            if out.len() == self.config.fetch_width {
+            if delivered == self.config.fetch_width {
                 reason = TerminationReason::MaxSize;
                 next_pc = NextPc::Known(cur);
                 break;
@@ -848,113 +937,68 @@ impl<T: Tracer> FrontEnd<T> {
                 break;
             }
             let kind = instr.control_kind();
-            match kind {
+            let pred_taken = (kind == ControlKind::CondBranch).then(|| {
+                let pred = match &self.predictor {
+                    Predictor::Hybrid(h) => {
+                        let hp = h.predict(cur.byte_addr(), pred_ctx.history);
+                        pred_ctx.hybrid = Some((cur, hp));
+                        hp.dir
+                    }
+                    _ => dirs[0],
+                };
+                used = 1;
+                self.history.push(pred);
+                pred
+            });
+            delivered += 1;
+            out.push(FetchedInst {
+                pc: cur,
+                instr,
+                pred_taken,
+                promoted: false,
+                active: true,
+            });
+            next_pc = match kind {
                 ControlKind::None => {
-                    out.push(FetchedInst {
-                        pc: cur,
-                        instr,
-                        pred_taken: None,
-                        promoted: false,
-                        active: true,
-                    });
                     cur = cur.next();
+                    continue;
                 }
                 ControlKind::CondBranch => {
-                    let pred = match &self.predictor {
-                        Predictor::Hybrid(h) => {
-                            let hp = h.predict(cur.byte_addr(), pred_ctx.history);
-                            pred_ctx.hybrid = Some((cur, hp));
-                            hp.dir
-                        }
-                        _ => dirs[0],
-                    };
-                    used = 1;
-                    self.history.push(pred);
-                    out.push(FetchedInst {
-                        pc: cur,
-                        instr,
-                        pred_taken: Some(pred),
-                        promoted: false,
-                        active: true,
-                    });
                     let target = instr.direct_target().expect("branches have targets");
-                    next_pc = NextPc::Known(if pred { target } else { cur.next() });
-                    break;
+                    NextPc::Known(if pred_taken == Some(true) {
+                        target
+                    } else {
+                        cur.next()
+                    })
                 }
-                ControlKind::Jump => {
-                    out.push(FetchedInst {
-                        pc: cur,
-                        instr,
-                        pred_taken: None,
-                        promoted: false,
-                        active: true,
-                    });
-                    next_pc = NextPc::Known(instr.direct_target().expect("jumps have targets"));
-                    break;
+                ControlKind::Jump | ControlKind::Call => {
+                    if kind == ControlKind::Call {
+                        self.ras.push(u64::from(cur.next()));
+                    }
+                    NextPc::Known(instr.direct_target().expect("jumps and calls have targets"))
                 }
-                ControlKind::Call => {
-                    self.ras.push(u64::from(cur.next()));
-                    out.push(FetchedInst {
-                        pc: cur,
-                        instr,
-                        pred_taken: None,
-                        promoted: false,
-                        active: true,
-                    });
-                    next_pc = NextPc::Known(instr.direct_target().expect("calls have targets"));
-                    break;
-                }
-                ControlKind::Return => {
-                    out.push(FetchedInst {
-                        pc: cur,
-                        instr,
-                        pred_taken: None,
-                        promoted: false,
-                        active: true,
-                    });
-                    let predicted = self.ras.pop().map(|a| Addr::new(a as u32));
-                    next_pc = NextPc::Return { predicted };
-                    break;
-                }
+                ControlKind::Return => NextPc::Return {
+                    predicted: self.ras.pop().map(|a| Addr::new(a as u32)),
+                },
                 ControlKind::IndirectJump | ControlKind::IndirectCall => {
                     if kind == ControlKind::IndirectCall {
                         self.ras.push(u64::from(cur.next()));
                     }
-                    out.push(FetchedInst {
-                        pc: cur,
-                        instr,
-                        pred_taken: None,
-                        promoted: false,
-                        active: true,
-                    });
-                    next_pc = NextPc::Indirect {
+                    NextPc::Indirect {
                         pc: cur,
                         predicted: self
                             .indirect
                             .predict(cur.byte_addr())
                             .map(|t| Addr::new(t as u32)),
-                    };
-                    break;
+                    }
                 }
-                ControlKind::Trap => {
-                    out.push(FetchedInst {
-                        pc: cur,
-                        instr,
-                        pred_taken: None,
-                        promoted: false,
-                        active: true,
-                    });
-                    next_pc = NextPc::Known(cur.next());
-                    break;
-                }
-            }
+                ControlKind::Trap => NextPc::Known(cur.next()),
+            };
+            break;
         }
 
-        let active_len = out.len();
-        FetchBundle {
-            fetch_pc: pc,
-            insts: out,
-            active_len,
+        FetchHead {
+            active_len: delivered,
             source: FetchSource::ICache,
             base_reason: reason,
             predictions_used: used,

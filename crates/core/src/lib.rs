@@ -40,7 +40,9 @@ mod stats;
 mod trace_cache;
 
 pub use config::{FrontEndConfig, PredictorChoice, PromotionConfig};
-pub use fetch::{FetchBundle, FetchSource, FetchedInst, FrontEnd, NextPc, QuarantineStats};
+pub use fetch::{
+    FetchBundle, FetchSource, FetchStep, FetchedInst, FrontEnd, NextPc, QuarantineStats,
+};
 pub use fill::{FillUnit, PackingPolicy};
 pub use inline_vec::InlineVec;
 pub use promote::StaticPromotionTable;

@@ -130,10 +130,16 @@ impl FillOutcome {
     };
 }
 
-#[derive(Debug, Clone)]
-struct Way {
-    segment: TraceSegment,
+/// One way's tag: the start address of the line it holds and the
+/// line's slot in [`TraceCache::lines`].
+#[derive(Debug, Clone, Copy)]
+struct WayTag {
+    start: Addr,
+    line: u32,
 }
+
+/// [`WayTag::line`] of a way that has never held a line.
+const NO_LINE: u32 = u32::MAX;
 
 /// The trace cache: set-associative storage of [`TraceSegment`]s indexed
 /// by start address.
@@ -142,11 +148,28 @@ struct Way {
 /// one segment starting at a given address is resident at a time (`ABC`
 /// and `ABD` cannot coexist). Fills that duplicate a resident segment
 /// refresh its recency instead of writing a copy.
+///
+/// A line stays in its slot until a fill overwrites it. Each set keeps
+/// its recency order in a small tag array (start address plus line slot,
+/// eight bytes a way), so a hit or fill reorders tags, not 336-byte
+/// segments, and a lookup scans the tags without touching the lines.
 #[derive(Debug, Clone)]
 pub struct TraceCache {
     config: TraceCacheConfig,
-    /// Sets of ways, most-recently-used first.
-    sets: Vec<Vec<Way>>,
+    /// `sets - 1` (the set count is a power of two).
+    set_mask: usize,
+    /// `ways` tags per set, set-major. Within a set, positions
+    /// `..lens[set]` are the resident lines, most recently used first;
+    /// the remaining positions keep the slots of lines the set has
+    /// dropped (for reuse) or have [`NO_LINE`].
+    tags: Vec<WayTag>,
+    /// Resident lines per set.
+    lens: Vec<u32>,
+    /// Line storage, addressed by [`WayTag::line`]. A slot is appended
+    /// the first time a set fills a way and is then overwritten in place,
+    /// so the storage grows only to the lines ever filled (at most
+    /// `entries`).
+    lines: Vec<TraceSegment>,
     stats: TraceCacheStats,
 }
 
@@ -161,9 +184,16 @@ impl TraceCache {
         config.validate();
         TraceCache {
             config,
-            sets: (0..config.sets())
-                .map(|_| Vec::with_capacity(config.ways))
-                .collect(),
+            set_mask: config.sets() - 1,
+            tags: vec![
+                WayTag {
+                    start: Addr::new(0),
+                    line: NO_LINE,
+                };
+                config.entries
+            ],
+            lens: vec![0; config.sets()],
+            lines: Vec::new(),
             stats: TraceCacheStats::default(),
         }
     }
@@ -186,15 +216,21 @@ impl TraceCache {
     }
 
     fn set_index(&self, start: Addr) -> usize {
-        start.index() & (self.config.sets() - 1)
+        start.index() & self.set_mask
+    }
+
+    /// The resident tags of set `si`, most recently used first.
+    fn resident_tags(&self, si: usize) -> &[WayTag] {
+        let base = si * self.config.ways;
+        &self.tags[base..base + self.lens[si] as usize]
     }
 
     /// MRU-first position of the resident segment starting at `start`
     /// within its set, with no LRU or stats effects.
     fn position(&self, start: Addr) -> Option<usize> {
-        self.sets[self.set_index(start)]
+        self.resident_tags(self.set_index(start))
             .iter()
-            .position(|w| w.segment.start() == start)
+            .position(|t| t.start == start)
     }
 
     /// MRU-first position of the best-scoring segment starting at
@@ -204,13 +240,12 @@ impl TraceCache {
     where
         F: FnMut(&TraceSegment) -> (bool, usize),
     {
-        let set = &self.sets[self.set_index(start)];
         let mut best: Option<(usize, (bool, usize))> = None;
-        for (i, w) in set.iter().enumerate() {
-            if w.segment.start() != start {
+        for (i, t) in self.resident_tags(self.set_index(start)).iter().enumerate() {
+            if t.start != start {
                 continue;
             }
-            let s = score(&w.segment);
+            let s = score(&self.lines[t.line as usize]);
             match best {
                 Some((_, b)) if s <= b => {}
                 _ => best = Some((i, s)),
@@ -219,18 +254,57 @@ impl TraceCache {
         best.map(|(i, _)| i)
     }
 
+    /// Moves the tag at MRU position `pos` of set `si` to the front,
+    /// shifting the more recently used ones down one, and returns its
+    /// line slot.
+    fn promote(&mut self, si: usize, pos: usize) -> usize {
+        let base = si * self.config.ways;
+        let tag = self.tags[base + pos];
+        self.tags.copy_within(base..base + pos, base + 1);
+        self.tags[base] = tag;
+        tag.line as usize
+    }
+
+    /// Drops the resident line at MRU position `pos` of set `si`. Its
+    /// slot moves just past the resident tags, for the set's next fill.
+    fn remove_at(&mut self, si: usize, pos: usize) -> Addr {
+        let base = si * self.config.ways;
+        let len = self.lens[si] as usize;
+        let tag = self.tags[base + pos];
+        self.tags
+            .copy_within(base + pos + 1..base + len, base + pos);
+        self.tags[base + len - 1] = tag;
+        self.lens[si] -= 1;
+        tag.start
+    }
+
+    /// Writes `segment` into the line at MRU position `pos` of set `si`
+    /// (resident or just past the resident tags) and makes it the most
+    /// recently used.
+    fn write_at(&mut self, si: usize, pos: usize, segment: TraceSegment) {
+        let slot = si * self.config.ways + pos;
+        let start = segment.start();
+        let line = self.tags[slot].line;
+        let line = if line == NO_LINE {
+            self.lines.push(segment);
+            (self.lines.len() - 1) as u32
+        } else {
+            self.lines[line as usize] = segment;
+            line
+        };
+        self.tags[slot] = WayTag { start, line };
+        self.promote(si, pos);
+    }
+
     /// Promotes the way at `pos` (from [`TraceCache::position`] or
     /// [`TraceCache::best_position_by`]) to most recently used, counts
     /// the hit, and returns the segment by reference — the second half
     /// of the find-index / LRU-touch pair the front end borrows its
     /// fetch slice from.
     fn touch(&mut self, start: Addr, pos: usize) -> &TraceSegment {
-        let si = self.set_index(start);
-        let set = &mut self.sets[si];
-        let way = set.remove(pos);
-        set.insert(0, way);
+        let line = self.promote(self.set_index(start), pos);
         self.stats.hits += 1;
-        &set[0].segment
+        &self.lines[line]
     }
 
     /// Looks up a segment starting at `start`, updating LRU and stats.
@@ -280,10 +354,10 @@ impl TraceCache {
     /// Checks for a resident segment without LRU or stats effects.
     #[must_use]
     pub fn probe(&self, start: Addr) -> Option<&TraceSegment> {
-        let set = &self.sets[self.set_index(start)];
-        set.iter()
-            .find(|w| w.segment.start() == start)
-            .map(|w| &w.segment)
+        self.resident_tags(self.set_index(start))
+            .iter()
+            .find(|t| t.start == start)
+            .map(|t| &self.lines[t.line as usize])
     }
 
     /// Writes a segment built by the fill unit.
@@ -295,41 +369,42 @@ impl TraceCache {
     /// in both modes.
     pub fn fill(&mut self, segment: TraceSegment) -> FillOutcome {
         let si = self.set_index(segment.start());
-        let ways = self.config.ways;
-        let path_assoc = self.config.path_assoc;
-        let set = &mut self.sets[si];
-        let same_start = set
-            .iter()
-            .position(|w| w.segment.start() == segment.start());
-        if let Some(pos) = same_start {
-            if set[pos].segment == segment {
-                let way = set.remove(pos);
-                set.insert(0, way);
+        let len = self.lens[si] as usize;
+        let base = si * self.config.ways;
+        let start = segment.start();
+        // Identical segments share a start, so the duplicate search only
+        // visits same-start ways: all of them with path associativity;
+        // without it, the first (most recently used), which a different
+        // path then replaces.
+        let mut same_start = None;
+        for pos in 0..len {
+            let tag = self.tags[base + pos];
+            if tag.start != start {
+                continue;
+            }
+            if self.lines[tag.line as usize] == segment {
+                self.promote(si, pos);
                 self.stats.duplicate_fills += 1;
                 return FillOutcome::DUPLICATE;
             }
-            if path_assoc {
-                // A different path: check the whole set for an identical
-                // segment before writing a new way.
-                if let Some(dup) = set.iter().position(|w| w.segment == segment) {
-                    let way = set.remove(dup);
-                    set.insert(0, way);
-                    self.stats.duplicate_fills += 1;
-                    return FillOutcome::DUPLICATE;
-                }
-            } else {
-                set.remove(pos);
-                set.insert(0, Way { segment });
-                self.stats.fills += 1;
-                return FillOutcome::REPLACED;
+            if !self.config.path_assoc {
+                same_start = Some(pos);
+                break;
             }
         }
-        let evicted = set.len() == ways;
-        if evicted {
-            set.pop();
-            self.stats.evictions += 1;
+        if let Some(pos) = same_start {
+            self.write_at(si, pos, segment);
+            self.stats.fills += 1;
+            return FillOutcome::REPLACED;
         }
-        set.insert(0, Way { segment });
+        let evicted = len == self.config.ways;
+        if evicted {
+            self.stats.evictions += 1;
+            self.write_at(si, len - 1, segment);
+        } else {
+            self.lens[si] += 1;
+            self.write_at(si, len, segment);
+        }
         self.stats.fills += 1;
         FillOutcome {
             evicted,
@@ -346,11 +421,15 @@ impl TraceCache {
         if !sanitizer.enabled() {
             return;
         }
-        for set in &self.sets {
+        for si in 0..self.lens.len() {
+            let set = self.resident_tags(si);
             if !self.config.path_assoc {
-                for (i, w) in set.iter().enumerate() {
-                    let start = w.segment.start();
-                    if set[..i].iter().any(|x| x.segment.start() == start) {
+                for (i, t) in set.iter().enumerate() {
+                    let start = self.lines[t.line as usize].start();
+                    if set[..i]
+                        .iter()
+                        .any(|x| self.lines[x.line as usize].start() == start)
+                    {
                         sanitizer.record(
                             CheckSite::Audit,
                             Some(start),
@@ -359,8 +438,8 @@ impl TraceCache {
                     }
                 }
             }
-            for w in set {
-                sanitizer.check_resident(&w.segment);
+            for t in set {
+                sanitizer.check_resident(&self.lines[t.line as usize]);
             }
         }
     }
@@ -368,16 +447,16 @@ impl TraceCache {
     /// Number of resident segments.
     #[must_use]
     pub fn resident(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.lens.iter().map(|&n| n as usize).sum()
     }
 
     /// Total instructions stored across resident segments — with the
     /// capacity, a measure of fragmentation (packing raises this).
     #[must_use]
     pub fn stored_instructions(&self) -> usize {
-        self.sets
-            .iter()
-            .flat_map(|s| s.iter().map(|w| w.segment.len()))
+        (0..self.lens.len())
+            .flat_map(|si| self.resident_tags(si))
+            .map(|t| self.lines[t.line as usize].len())
             .sum()
     }
 
@@ -387,24 +466,28 @@ impl TraceCache {
     /// statistics (quarantine is accounted separately).
     pub fn invalidate(&mut self, start: Addr) -> bool {
         let si = self.set_index(start);
-        let before = self.sets[si].len();
-        self.sets[si].retain(|w| w.segment.start() != start);
-        self.sets[si].len() != before
+        let mut removed = false;
+        while let Some(pos) = self.position(start) {
+            self.remove_at(si, pos);
+            removed = true;
+        }
+        removed
     }
 
     /// Picks the `entropy`-th resident way, if any (deterministic given
-    /// the cache contents and `entropy`).
+    /// the cache contents and `entropy`), as a set and MRU position.
     fn pick_resident(&self, entropy: u64) -> Option<(usize, usize)> {
         let resident = self.resident();
         if resident == 0 {
             return None;
         }
         let mut nth = (entropy % resident as u64) as usize;
-        for (si, set) in self.sets.iter().enumerate() {
-            if nth < set.len() {
+        for (si, &len) in self.lens.iter().enumerate() {
+            let len = len as usize;
+            if nth < len {
                 return Some((si, nth));
             }
-            nth -= set.len();
+            nth -= len;
         }
         None
     }
@@ -415,21 +498,14 @@ impl TraceCache {
     /// segment's start address, or `None` when the cache is empty. The
     /// sanitizer's hit/fill/audit checks are the intended detector.
     pub fn fault_corrupt(&mut self, entropy: u64) -> Option<Addr> {
-        let (si, wi) = self.pick_resident(entropy)?;
-        let segment = &mut self.sets[si][wi].segment;
+        let (si, pos) = self.pick_resident(entropy)?;
+        let slot = si * self.config.ways + pos;
+        let segment = &mut self.lines[self.tags[slot].line as usize];
         let start = segment.start();
-        let insts = segment.insts_mut();
-        let i = ((entropy >> 8) % insts.len() as u64) as usize;
-        match (entropy >> 16) % 3 {
-            0 => insts[i].taken = !insts[i].taken,
-            1 => {
-                insts[i].promoted = match insts[i].promoted {
-                    Some(dir) => Some(!dir),
-                    None => Some(true),
-                };
-            }
-            _ => insts[i].pc = Addr::new(insts[i].pc.raw() ^ 1 ^ ((entropy >> 24) as u32 & 0xff)),
-        }
+        corrupt(segment, entropy);
+        // The tag follows the line: a rewritten first PC re-tags it, in
+        // the set it already occupies.
+        self.tags[slot].start = segment.start();
         Some(start)
     }
 
@@ -438,9 +514,26 @@ impl TraceCache {
     /// next fetch simply misses. Returns the evicted start address.
     /// Touches no statistics.
     pub fn fault_evict(&mut self, entropy: u64) -> Option<Addr> {
-        let (si, wi) = self.pick_resident(entropy)?;
-        let way = self.sets[si].remove(wi);
-        Some(way.segment.start())
+        let (si, pos) = self.pick_resident(entropy)?;
+        Some(self.remove_at(si, pos))
+    }
+}
+
+/// Flips one embedded branch direction, promoted flag or instruction
+/// address of `segment`, chosen by `entropy` (see
+/// [`TraceCache::fault_corrupt`]).
+fn corrupt(segment: &mut TraceSegment, entropy: u64) {
+    let insts = segment.insts_mut();
+    let i = ((entropy >> 8) % insts.len() as u64) as usize;
+    match (entropy >> 16) % 3 {
+        0 => insts[i].taken = !insts[i].taken,
+        1 => {
+            insts[i].promoted = match insts[i].promoted {
+                Some(dir) => Some(!dir),
+                None => Some(true),
+            };
+        }
+        _ => insts[i].pc = Addr::new(insts[i].pc.raw() ^ 1 ^ ((entropy >> 24) as u32 & 0xff)),
     }
 }
 
@@ -639,5 +732,271 @@ mod path_assoc_tests {
         tc.fill(seg_with_branch(0x10, true)); // identical to the first
         assert_eq!(tc.resident(), 2);
         assert_eq!(tc.stats().duplicate_fills, 1);
+    }
+}
+
+/// Differential test: the in-place storage against a reference copy of
+/// the MRU-list storage it replaced, under seeded operation sequences.
+#[cfg(test)]
+mod differential {
+    use super::*;
+    use crate::segment::{SegEndReason, SegmentInst};
+    use tc_isa::{Cond, Instr, Reg};
+    use tc_workloads::rng::{Rng, Xoshiro256PlusPlus};
+
+    /// The previous storage: each set a `Vec` of segments, most recently
+    /// used first, reordered by `remove` + `insert(0)`.
+    struct Reference {
+        config: TraceCacheConfig,
+        sets: Vec<Vec<TraceSegment>>,
+        stats: TraceCacheStats,
+    }
+
+    impl Reference {
+        fn new(config: TraceCacheConfig) -> Reference {
+            Reference {
+                config,
+                sets: vec![Vec::new(); config.sets()],
+                stats: TraceCacheStats::default(),
+            }
+        }
+
+        fn set(&self, start: Addr) -> usize {
+            start.index() % self.config.sets()
+        }
+
+        fn hit(&mut self, si: usize, pos: Option<usize>) -> Option<TraceSegment> {
+            let Some(pos) = pos else {
+                self.stats.misses += 1;
+                return None;
+            };
+            let seg = self.sets[si].remove(pos);
+            self.sets[si].insert(0, seg.clone());
+            self.stats.hits += 1;
+            Some(seg)
+        }
+
+        fn lookup(&mut self, start: Addr) -> Option<TraceSegment> {
+            let si = self.set(start);
+            let pos = self.sets[si].iter().position(|s| s.start() == start);
+            self.hit(si, pos)
+        }
+
+        fn lookup_best(&mut self, start: Addr, preds: &[bool]) -> Option<TraceSegment> {
+            let si = self.set(start);
+            let mut best: Option<(usize, (bool, usize))> = None;
+            for (i, seg) in self.sets[si].iter().enumerate() {
+                if seg.start() != start {
+                    continue;
+                }
+                let (active, _, full) = seg.match_predictions(preds);
+                if best.is_none_or(|(_, b)| (full, active) > b) {
+                    best = Some((i, (full, active)));
+                }
+            }
+            self.hit(si, best.map(|(i, _)| i))
+        }
+
+        fn probe(&self, start: Addr) -> Option<TraceSegment> {
+            let set = &self.sets[self.set(start)];
+            set.iter().find(|s| s.start() == start).cloned()
+        }
+
+        fn fill(&mut self, segment: TraceSegment) -> FillOutcome {
+            let si = self.set(segment.start());
+            let set = &mut self.sets[si];
+            if let Some(pos) = set.iter().position(|s| s.start() == segment.start()) {
+                let dup = if self.config.path_assoc {
+                    set.iter().position(|s| *s == segment)
+                } else {
+                    (set[pos] == segment).then_some(pos)
+                };
+                if let Some(dup) = dup {
+                    let seg = set.remove(dup);
+                    set.insert(0, seg);
+                    self.stats.duplicate_fills += 1;
+                    return FillOutcome::DUPLICATE;
+                }
+                if !self.config.path_assoc {
+                    set.remove(pos);
+                    set.insert(0, segment);
+                    self.stats.fills += 1;
+                    return FillOutcome::REPLACED;
+                }
+            }
+            let evicted = set.len() == self.config.ways;
+            if evicted {
+                set.pop();
+                self.stats.evictions += 1;
+            }
+            set.insert(0, segment);
+            self.stats.fills += 1;
+            FillOutcome {
+                evicted,
+                duplicate: false,
+            }
+        }
+
+        fn invalidate(&mut self, start: Addr) -> bool {
+            let si = self.set(start);
+            let before = self.sets[si].len();
+            self.sets[si].retain(|s| s.start() != start);
+            self.sets[si].len() != before
+        }
+
+        fn pick(&self, entropy: u64) -> Option<(usize, usize)> {
+            let resident: usize = self.sets.iter().map(Vec::len).sum();
+            if resident == 0 {
+                return None;
+            }
+            let mut nth = (entropy % resident as u64) as usize;
+            for (si, set) in self.sets.iter().enumerate() {
+                if nth < set.len() {
+                    return Some((si, nth));
+                }
+                nth -= set.len();
+            }
+            None
+        }
+
+        fn fault_corrupt(&mut self, entropy: u64) -> Option<Addr> {
+            let (si, i) = self.pick(entropy)?;
+            let start = self.sets[si][i].start();
+            corrupt(&mut self.sets[si][i], entropy);
+            Some(start)
+        }
+
+        fn fault_evict(&mut self, entropy: u64) -> Option<Addr> {
+            let (si, i) = self.pick(entropy)?;
+            Some(self.sets[si].remove(i).start())
+        }
+    }
+
+    /// The cache's contents, set by set, most recently used first.
+    fn contents(tc: &TraceCache) -> Vec<Vec<TraceSegment>> {
+        (0..tc.lens.len())
+            .map(|si| {
+                tc.resident_tags(si)
+                    .iter()
+                    .map(|t| tc.lines[t.line as usize].clone())
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// A segment from a small alphabet, so fills repeat, share starts
+    /// with different paths, and conflict within sets: 1–4 instructions
+    /// from one of 24 starts, with a possibly promoted branch second.
+    fn arb_segment(r: &mut Xoshiro256PlusPlus) -> TraceSegment {
+        let start = r.gen_range(0u32..24);
+        let len = r.gen_range(1usize..5);
+        let insts: Vec<SegmentInst> = (0..len)
+            .map(|i| {
+                let pc = Addr::new(start + i as u32);
+                if i == 1 {
+                    SegmentInst {
+                        pc,
+                        instr: Instr::Branch {
+                            cond: Cond::Eq,
+                            rs1: Reg::T0,
+                            rs2: Reg::T1,
+                            target: Addr::new(start + 10),
+                        },
+                        taken: r.gen_bool(0.5),
+                        promoted: r.gen_bool(0.3).then(|| r.gen_bool(0.5)),
+                    }
+                } else {
+                    SegmentInst {
+                        pc,
+                        instr: Instr::Nop,
+                        taken: false,
+                        promoted: None,
+                    }
+                }
+            })
+            .collect();
+        TraceSegment::new(&insts, SegEndReason::MaxBranches)
+    }
+
+    fn run(config: TraceCacheConfig, seed: u64, steps: usize) {
+        let mut r = Xoshiro256PlusPlus::seed_from_u64(seed);
+        let mut tc = TraceCache::new(config);
+        let mut reference = Reference::new(config);
+        for step in 0..steps {
+            let start = Addr::new(r.gen_range(0u32..26));
+            let entropy = r.next_u64();
+            let op = r.gen_range(0u32..100);
+            let at = format!("{config:?} seed {seed} step {step} op {op}");
+            match op {
+                0..=39 => {
+                    let seg = arb_segment(&mut r);
+                    assert_eq!(tc.fill(seg.clone()), reference.fill(seg), "{at}: fill");
+                }
+                40..=59 => assert_eq!(
+                    tc.lookup(start).cloned(),
+                    reference.lookup(start),
+                    "{at}: lookup"
+                ),
+                60..=74 => {
+                    let preds: Vec<bool> = (0..r.gen_range(0usize..4))
+                        .map(|_| r.gen_bool(0.5))
+                        .collect();
+                    assert_eq!(
+                        tc.lookup_best(start, &preds).cloned(),
+                        reference.lookup_best(start, &preds),
+                        "{at}: lookup_best"
+                    );
+                }
+                75..=84 => assert_eq!(
+                    tc.probe(start).cloned(),
+                    reference.probe(start),
+                    "{at}: probe"
+                ),
+                85..=89 => assert_eq!(
+                    tc.invalidate(start),
+                    reference.invalidate(start),
+                    "{at}: invalidate"
+                ),
+                90..=94 => assert_eq!(
+                    tc.fault_corrupt(entropy),
+                    reference.fault_corrupt(entropy),
+                    "{at}: fault_corrupt"
+                ),
+                _ => assert_eq!(
+                    tc.fault_evict(entropy),
+                    reference.fault_evict(entropy),
+                    "{at}: fault_evict"
+                ),
+            }
+            assert_eq!(*tc.stats(), reference.stats, "{at}: stats");
+            let sets = &reference.sets;
+            assert_eq!(contents(&tc), *sets, "{at}: contents (MRU order)");
+            assert_eq!(
+                tc.resident(),
+                sets.iter().map(Vec::len).sum::<usize>(),
+                "{at}: resident"
+            );
+            assert_eq!(
+                tc.stored_instructions(),
+                sets.iter().flatten().map(TraceSegment::len).sum::<usize>(),
+                "{at}: stored_instructions"
+            );
+        }
+    }
+
+    #[test]
+    fn matches_the_mru_list_storage() {
+        for ways in [1, 2, 4] {
+            for path_assoc in [false, true] {
+                let config = TraceCacheConfig {
+                    entries: 4 * ways,
+                    ways,
+                    path_assoc,
+                };
+                for seed in 0..40 {
+                    run(config, 0x7CAC_0000 + seed, 400);
+                }
+            }
+        }
     }
 }

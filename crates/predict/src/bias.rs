@@ -134,6 +134,8 @@ struct BiasEntry {
 pub struct BiasTable {
     entries: Vec<Option<BiasEntry>>,
     config: BiasConfig,
+    /// `log2(entries)`: the index bits a tagged entry's tag omits.
+    index_bits: u32,
     promotions: u64,
     demotions: u64,
     /// Per-branch plan overrides (byte address → action); empty unless a
@@ -156,6 +158,7 @@ impl BiasTable {
         config.validate();
         BiasTable {
             entries: vec![None; config.entries],
+            index_bits: config.entries.trailing_zeros(),
             config,
             promotions: 0,
             demotions: 0,
@@ -198,7 +201,7 @@ impl BiasTable {
 
     fn tag(&self, pc: u64) -> u64 {
         if self.config.tagged {
-            pc / self.config.entries as u64
+            pc >> self.index_bits
         } else {
             0
         }
@@ -225,7 +228,7 @@ impl BiasTable {
                 // promoted status with its entry.
                 let evicted_promoted = match &displaced {
                     Some(e) if e.promoted.is_some() => {
-                        Some(e.tag * self.config.entries as u64 + idx as u64)
+                        Some((e.tag << self.index_bits) | idx as u64)
                     }
                     _ => None,
                 };

@@ -10,13 +10,13 @@
 //! never panics and never grows without bound.
 
 use std::collections::HashMap;
-use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use tc_fault::chaos::IoFaultPlan;
 use tc_workloads::{Workload, WorkloadId};
@@ -328,18 +328,51 @@ fn handle_connection(stream: TcpStream, state: &ServeState) {
         ..HttpLimits::default()
     };
     let mut reader = BufReader::new(stream);
-    let response = match read_request(&mut reader, &limits) {
-        Ok(request) => route(&request, state),
+    let (response, unread_input) = match read_request(&mut reader, &limits) {
+        Ok(request) => (route(&request, state), false),
         // Nothing arrived, or the socket died: nobody to answer.
         Err(HttpError::Closed | HttpError::Io(_)) => return,
         Err(HttpError::Malformed { status, reason }) => {
-            Response::json(status, error_body(status, &reason))
+            (Response::json(status, error_body(status, &reason)), true)
         }
     };
     count_response(state, response.status);
     let mut stream = reader.into_inner();
     let _ = write_response(&mut stream, &response);
     let _ = stream.flush();
+    if unread_input {
+        drain_then_close(stream, limits.max_body);
+    }
+}
+
+/// Most input [`drain_then_close`] reads beyond the body limit.
+const DRAIN_SLACK: usize = 64 * 1024;
+/// Longest [`drain_then_close`] waits for the client.
+const DRAIN_TIME: Duration = Duration::from_secs(1);
+
+/// Closes a connection whose request was rejected before it was read
+/// in full (a 413 for an oversized body, say). Closing a socket with
+/// unread input makes the kernel reset the connection, and the reset can
+/// destroy the error response before the client reads it. So: half-close
+/// the write side (the response is followed by a FIN), read and discard
+/// what the client is still sending — at most `max_body` plus
+/// [`DRAIN_SLACK`] bytes, for at most [`DRAIN_TIME`] — then close.
+fn drain_then_close(mut stream: TcpStream, max_body: usize) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + DRAIN_TIME;
+    let mut budget = max_body.saturating_add(DRAIN_SLACK);
+    let mut buf = [0u8; 16 * 1024];
+    while budget > 0 {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        let want = budget.min(buf.len());
+        match stream.read(&mut buf[..want]) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => budget -= n,
+        }
+    }
 }
 
 fn route(request: &Request, state: &ServeState) -> Response {

@@ -773,7 +773,7 @@ impl<T: Tracer> Processor<T> {
         let mut wp_cycle = fetch_cycle + 1;
         let mut fetches = 0u32;
         while wp_cycle < redirect && fetches < MAX_WRONG_PATH_FETCHES {
-            let wp = self.front_end.fetch(wp_pc, program, &mut self.mem);
+            let wp = self.front_end.fetch_next(wp_pc, program, &mut self.mem);
             fetches += 1;
             wp_cycle += 1 + u64::from(wp.icache_latency);
             match predicted_target(wp.next_pc) {

@@ -16,11 +16,12 @@
 //! tautology. Regenerate only when a change *intends* to alter
 //! simulation results, and say so in the commit.
 
+use tc_core::TraceCacheConfig;
 use tc_sim::harness::report_to_json;
-use tc_sim::{simulate, SimConfig};
+use tc_sim::{simulate, FaultPlan, SimConfig};
 use tc_workloads::{Benchmark, RvBench, WorkloadId};
 
-/// Instruction budget the fixtures were captured at.
+/// Instruction budget the preset fixtures were captured at.
 const INSTS: u64 = 25_000;
 
 /// Builds the capture configuration: the fixtures were emitted by the
@@ -28,15 +29,15 @@ const INSTS: u64 = 25_000;
 /// it is disabled explicitly here (tests compile with
 /// `debug_assertions`, which would otherwise flip the default and the
 /// `sanitizer.enabled` field).
-fn capture_config(base: SimConfig) -> SimConfig {
-    let mut config = base.with_max_insts(INSTS);
+fn capture_config(base: SimConfig, insts: u64) -> SimConfig {
+    let mut config = base.with_max_insts(insts);
     config.front_end.sanitize = false;
     config
 }
 
-fn check<W: Into<WorkloadId>>(bench: W, config_name: &str, base: SimConfig, fixture: &str) {
+fn check<W: Into<WorkloadId>>(bench: W, config_name: &str, config: SimConfig, fixture: &str) {
     let bench: WorkloadId = bench.into();
-    let report = simulate(bench, &capture_config(base));
+    let report = simulate(bench, &config);
     let rendered = format!("{}\n", report_to_json(&report).pretty());
     assert_eq!(
         rendered,
@@ -59,7 +60,7 @@ macro_rules! golden {
                 check(
                     Benchmark::$bench,
                     config_name,
-                    config,
+                    capture_config(config, INSTS),
                     include_str!(concat!("golden/", $file)),
                 );
             }
@@ -116,7 +117,7 @@ macro_rules! golden_rv {
                 check(
                     RvBench::$bench,
                     config_name,
-                    config,
+                    capture_config(config, INSTS),
                     include_str!(concat!("golden/", $file)),
                 );
             }
@@ -127,4 +128,55 @@ macro_rules! golden_rv {
 golden_rv! {
     rv_crc_baseline, Crc, "rv-crc-baseline.json";
     rv_crc_headline, Crc, "rv-crc-headline.json";
+}
+
+/// Instruction budget of the fixtures below: long enough to leave the
+/// warm-up loops and exercise eviction, wrong-path fetch and fault
+/// recovery.
+const WIDE_INSTS: u64 = 100_000;
+
+/// Fixtures for paths the preset fixtures above miss, by file stem: the
+/// i-cache machine (wrong-path fetch through the i-cache), a
+/// path-associative trace cache, an eviction-heavy 64-entry trace
+/// cache, and fault injection (which forces the sanitizer on). They
+/// were captured from this function's configurations, at
+/// [`WIDE_INSTS`], before the trace cache and the cache tag stores were
+/// restructured.
+fn wide_config(stem: &str) -> (WorkloadId, SimConfig) {
+    let headline = SimConfig::headline_perf();
+    let (bench, config): (WorkloadId, SimConfig) = match stem {
+        "rv-crc-icache" => (RvBench::Crc.into(), SimConfig::icache()),
+        "gcc-headline-passoc" => (Benchmark::Gcc.into(), headline.with_path_associativity()),
+        "go-headline-tc64" => {
+            let mut config = headline;
+            config.front_end.trace_cache = Some(TraceCacheConfig::with_entries(64));
+            (Benchmark::Go.into(), config)
+        }
+        "compress-headline-faults" => {
+            let config = capture_config(headline, WIDE_INSTS);
+            let faults = config.with_fault_plan(FaultPlan::with_rate(1, 1e-2));
+            return (Benchmark::Compress.into(), faults);
+        }
+        _ => unreachable!("no wide fixture {stem}"),
+    };
+    (bench, capture_config(config, WIDE_INSTS))
+}
+
+macro_rules! golden_wide {
+    ($($name:ident, $stem:literal;)*) => {
+        $(
+            #[test]
+            fn $name() {
+                let (bench, config) = wide_config($stem);
+                check(bench, $stem, config, include_str!(concat!("golden/", $stem, "-100k.json")));
+            }
+        )*
+    };
+}
+
+golden_wide! {
+    rv_crc_icache_100k, "rv-crc-icache";
+    gcc_headline_passoc_100k, "gcc-headline-passoc";
+    go_headline_tc64_100k, "go-headline-tc64";
+    compress_headline_faults_100k, "compress-headline-faults";
 }
