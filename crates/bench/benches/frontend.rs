@@ -6,7 +6,8 @@
 use tc_bench::micro::{black_box, Group};
 use tc_cache::{HierarchyConfig, MemoryHierarchy};
 use tc_core::{
-    FillUnit, FrontEnd, FrontEndConfig, PackingPolicy, TraceCache, TraceCacheConfig, TraceSegment,
+    FetchBundle, FillUnit, FrontEnd, FrontEndConfig, PackingPolicy, TraceCache, TraceCacheConfig,
+    TraceSegment,
 };
 use tc_isa::Addr;
 use tc_predict::{BiasConfig, BiasTable};
@@ -20,21 +21,21 @@ fn bench_trace_cache() {
     let mut segments = Vec::new();
     for rec in workload.interpreter().take(200_000) {
         fill.retire(&rec);
-        while let Some(seg) = fill.pop_segment() {
-            segments.push(seg);
+        for (insts, reason) in fill.finalized() {
+            segments.push(TraceSegment::new(insts, reason));
         }
     }
     assert!(segments.len() > 100);
     group.bench("fill", || {
         let mut tc = TraceCache::new(TraceCacheConfig::paper());
         for seg in &segments {
-            tc.fill(black_box(seg.clone()));
+            tc.fill(black_box(seg.insts()), seg.end_reason());
         }
         tc.resident()
     });
     let mut tc = TraceCache::new(TraceCacheConfig::paper());
     for seg in &segments {
-        tc.fill(seg.clone());
+        tc.fill(seg.insts(), seg.end_reason());
     }
     let starts: Vec<Addr> = segments.iter().map(TraceSegment::start).collect();
     group.bench("lookup", || {
@@ -68,9 +69,7 @@ fn bench_fill_policies() {
             let mut segs = 0u64;
             for rec in &stream {
                 fill.retire(black_box(rec));
-                while fill.pop_segment().is_some() {
-                    segs += 1;
-                }
+                segs += fill.finalized().count() as u64;
             }
             segs
         });
@@ -95,10 +94,11 @@ fn bench_fetch_engine() {
         }
         let mut mem = MemoryHierarchy::new(HierarchyConfig::paper_trace_cache());
         let pcs: Vec<Addr> = workload.interpreter().take(2_000).map(|r| r.pc).collect();
+        let mut bundle = FetchBundle::default();
         group.bench(name, || {
             let mut insts = 0usize;
             for &pc in &pcs {
-                let bundle = fe.fetch(black_box(pc), &program, &mut mem);
+                fe.fetch_to(black_box(pc), &program, &mut mem, &mut bundle);
                 insts += bundle.insts.len();
             }
             insts

@@ -123,6 +123,29 @@ pub struct FetchBundle {
     pub pred: PredContext,
 }
 
+impl Default for FetchBundle {
+    /// An empty bundle at address zero, to be written by
+    /// [`FrontEnd::fetch_to`].
+    fn default() -> FetchBundle {
+        FetchBundle {
+            fetch_pc: Addr::new(0),
+            insts: InlineVec::new(),
+            active_len: 0,
+            source: FetchSource::ICache,
+            base_reason: TerminationReason::ICache,
+            predictions_used: 0,
+            icache_latency: 0,
+            next_pc: NextPc::Known(Addr::new(0)),
+            pred: PredContext {
+                history: GlobalHistory::new(),
+                fetch_pc: Addr::new(0),
+                mbp_entry: 0,
+                hybrid: None,
+            },
+        }
+    }
+}
+
 impl FetchBundle {
     /// The active (predicted-path) instructions.
     #[must_use]
@@ -160,7 +183,7 @@ pub struct FetchStep {
 }
 
 /// Where the fetch body puts the instructions it delivers. The body is
-/// monomorphized per sink, as it is per [`Tracer`]: [`FrontEnd::fetch`]
+/// monomorphized per sink, as it is per [`Tracer`]: [`FrontEnd::fetch_to`]
 /// collects them into the bundle, [`FrontEnd::fetch_next`] drops them,
 /// so a wrong-path fetch builds no instruction list at all.
 trait FetchSink {
@@ -187,6 +210,16 @@ enum Predictor {
     Multi(MultiPredictor),
     Split(SplitMultiPredictor),
     Hybrid(HybridPredictor),
+}
+
+impl Predictor {
+    fn new(choice: PredictorChoice) -> Predictor {
+        match choice {
+            PredictorChoice::PaperMulti => Predictor::Multi(MultiPredictor::paper()),
+            PredictorChoice::SplitMulti => Predictor::Split(SplitMultiPredictor::paper()),
+            PredictorChoice::Hybrid => Predictor::Hybrid(HybridPredictor::paper()),
+        }
+    }
 }
 
 /// Counters for the detect → quarantine → recover pipeline that guards
@@ -224,7 +257,9 @@ pub struct QuarantineStats {
 #[derive(Debug, Clone)]
 pub struct FrontEnd<T: Tracer = NoopTracer> {
     config: FrontEndConfig,
-    trace_cache: Option<TraceCache>,
+    /// Boxed, so the fetch can move it out of `self` and back (see
+    /// [`FrontEnd::fetch_to`]) by moving a pointer.
+    trace_cache: Option<Box<TraceCache>>,
     fill: Option<FillUnit>,
     predictor: Predictor,
     history: GlobalHistory,
@@ -284,28 +319,39 @@ impl<T: Tracer> FrontEnd<T> {
             config.fetch_width <= MAX_FETCH,
             "fetch_width exceeds the bundle's inline capacity"
         );
-        let predictor = match config.predictor {
-            PredictorChoice::PaperMulti => Predictor::Multi(MultiPredictor::paper()),
-            PredictorChoice::SplitMulti => Predictor::Split(SplitMultiPredictor::paper()),
-            PredictorChoice::Hybrid => Predictor::Hybrid(HybridPredictor::paper()),
-        };
-        let trace_cache = config.trace_cache.map(TraceCache::new);
         FrontEnd {
             config,
-            trace_cache,
+            trace_cache: config.trace_cache.map(|c| Box::new(TraceCache::new(c))),
             fill,
-            predictor,
+            predictor: Predictor::new(config.predictor),
             history: GlobalHistory::new(),
-            ras: match config.ras_depth {
-                Some(depth) => ReturnStack::with_depth(depth),
-                None => ReturnStack::ideal(),
-            },
+            ras: ReturnStack::for_depth(config.ras_depth),
             indirect: IndirectPredictor::new(config.indirect_entries),
             stats: FetchStats::new(),
             sanitizer: Sanitizer::new(config.sanitize),
             quarantine: QuarantineStats::default(),
             tracer,
         }
+    }
+
+    /// Returns every structure to the state of a new front end built
+    /// from the same configuration — empty trace cache, untrained
+    /// predictors, zero statistics — keeping the tracer, a static
+    /// promotion table and any bias-table overrides.
+    pub fn reset(&mut self) {
+        if let Some(tc) = self.trace_cache.as_deref_mut() {
+            *tc = TraceCache::new(*tc.config());
+        }
+        if let Some(fill) = self.fill.as_mut() {
+            fill.reset();
+        }
+        self.predictor = Predictor::new(self.config.predictor);
+        self.history = GlobalHistory::new();
+        self.ras = ReturnStack::for_depth(self.config.ras_depth);
+        self.indirect = IndirectPredictor::new(self.config.indirect_entries);
+        self.stats = FetchStats::new();
+        self.sanitizer = Sanitizer::new(self.config.sanitize);
+        self.quarantine = QuarantineStats::default();
     }
 
     /// The attached tracer.
@@ -339,7 +385,7 @@ impl<T: Tracer> FrontEnd<T> {
     /// The trace cache, when configured.
     #[must_use]
     pub fn trace_cache(&self) -> Option<&TraceCache> {
-        self.trace_cache.as_ref()
+        self.trace_cache.as_deref()
     }
 
     /// The fill unit, when configured.
@@ -391,7 +437,7 @@ impl<T: Tracer> FrontEnd<T> {
     /// Audits every segment resident in the trace cache against the
     /// structural invariants (typically once, at the end of a run).
     pub fn audit(&mut self) {
-        if let Some(tc) = self.trace_cache.as_ref() {
+        if let Some(tc) = self.trace_cache.as_deref() {
             let errors_before = self.sanitizer.stats().errors;
             tc.audit(&mut self.sanitizer);
             // Corrupted lines that were never fetched again surface
@@ -438,19 +484,21 @@ impl<T: Tracer> FrontEnd<T> {
     }
 
     /// Feeds a retired (correct-path) instruction to the fill unit and
-    /// drains finalized segments into the trace cache.
+    /// writes the segments it finalizes into the trace cache, straight
+    /// from the fill unit's buffer.
     pub fn retire(&mut self, rec: &ExecRecord) {
         if T::ENABLED {
             self.tracer.emit(TraceEvent::Retire { pc: rec.pc });
         }
-        if let (Some(fill), Some(tc)) = (self.fill.as_mut(), self.trace_cache.as_mut()) {
+        if let (Some(fill), Some(tc)) = (self.fill.as_mut(), self.trace_cache.as_deref_mut()) {
             fill.retire_traced(rec, &mut self.tracer);
             for kind in fill.take_violations() {
                 self.sanitizer.record(CheckSite::Fill, None, kind);
             }
-            while let Some(seg) = fill.pop_segment() {
+            for (insts, reason) in fill.finalized() {
                 let errors_before = self.sanitizer.stats().errors;
-                self.sanitizer.check_fill(&seg, fill.bias_table());
+                self.sanitizer.check_fill(insts, fill.bias_table());
+                let start = insts[0].pc;
                 if self.sanitizer.stats().errors > errors_before {
                     // The segment is structurally invalid: drop it
                     // instead of caching it. Recovery is immediate —
@@ -459,21 +507,17 @@ impl<T: Tracer> FrontEnd<T> {
                     self.quarantine.quarantined += 1;
                     self.quarantine.recovered += 1;
                     if T::ENABLED {
-                        self.tracer
-                            .emit(TraceEvent::FaultDetected { pc: seg.start() });
-                        self.tracer
-                            .emit(TraceEvent::FaultQuarantined { pc: seg.start() });
-                        self.tracer
-                            .emit(TraceEvent::FaultRecovered { pc: seg.start() });
+                        self.tracer.emit(TraceEvent::FaultDetected { pc: start });
+                        self.tracer.emit(TraceEvent::FaultQuarantined { pc: start });
+                        self.tracer.emit(TraceEvent::FaultRecovered { pc: start });
                     }
                     continue;
                 }
-                let (start, len) = (seg.start(), seg.len());
-                let outcome = tc.fill(seg);
+                let outcome = tc.fill(insts, reason);
                 if T::ENABLED {
                     self.tracer.emit(TraceEvent::TcFill {
                         start,
-                        len: len as u8,
+                        len: insts.len() as u8,
                         evicted: outcome.evicted,
                         duplicate: outcome.duplicate,
                     });
@@ -541,26 +585,38 @@ impl<T: Tracer> FrontEnd<T> {
         self.retire(rec);
     }
 
-    /// Performs one fetch at `pc`.
+    /// Performs one fetch at `pc` and returns what it delivered.
     ///
     /// Touches the trace cache and instruction cache (so wrong-path
     /// fetches pollute them, as in the paper's execution-driven model)
     /// and speculatively updates the global history and return stack for
-    /// the *active* instructions.
+    /// the *active* instructions. A loop that fetches repeatedly should
+    /// call [`FrontEnd::fetch_to`] with one reused bundle instead.
     pub fn fetch(&mut self, pc: Addr, program: &Program, mem: &mut MemoryHierarchy) -> FetchBundle {
-        let mut insts = InlineVec::new();
-        let head = self.fetch_into(pc, program, mem, &mut insts);
-        FetchBundle {
-            fetch_pc: pc,
-            insts,
-            active_len: head.active_len,
-            source: head.source,
-            base_reason: head.base_reason,
-            predictions_used: head.predictions_used,
-            icache_latency: head.icache_latency,
-            next_pc: head.next_pc,
-            pred: head.pred,
-        }
+        let mut bundle = FetchBundle::default();
+        self.fetch_to(pc, program, mem, &mut bundle);
+        bundle
+    }
+
+    /// Performs the same fetch as [`FrontEnd::fetch`], writing the
+    /// result over `bundle` instead of returning a new one.
+    pub fn fetch_to(
+        &mut self,
+        pc: Addr,
+        program: &Program,
+        mem: &mut MemoryHierarchy,
+        bundle: &mut FetchBundle,
+    ) {
+        bundle.insts.clear();
+        let head = self.fetch_into(pc, program, mem, &mut bundle.insts);
+        bundle.fetch_pc = pc;
+        bundle.active_len = head.active_len;
+        bundle.source = head.source;
+        bundle.base_reason = head.base_reason;
+        bundle.predictions_used = head.predictions_used;
+        bundle.icache_latency = head.icache_latency;
+        bundle.next_pc = head.next_pc;
+        bundle.pred = head.pred;
     }
 
     /// Performs the same fetch as [`FrontEnd::fetch`] — every effect on
@@ -582,7 +638,7 @@ impl<T: Tracer> FrontEnd<T> {
         }
     }
 
-    /// The one fetch body behind [`FrontEnd::fetch`] and
+    /// The one fetch body behind [`FrontEnd::fetch_to`] and
     /// [`FrontEnd::fetch_next`]; the delivered instructions go to `out`.
     fn fetch_into<S: FetchSink>(
         &mut self,

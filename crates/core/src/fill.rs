@@ -1,24 +1,21 @@
 //! The fill unit: builds trace segments from the retired instruction
 //! stream.
 
-use std::collections::VecDeque;
-
 use tc_isa::{Addr, ControlKind, ExecRecord};
 use tc_predict::{BiasDecision, BiasTable, BiasUpdate};
 use tc_trace::{DemotionCause, NoopTracer, PackVerdict, TraceEvent, Tracer};
 
-use crate::inline_vec::InlineVec;
 use crate::promote::StaticPromotionTable;
 use crate::sanitize::ViolationKind;
 use crate::segment::{
-    has_short_backward_branch, SegEndReason, SegmentInst, TraceSegment, MAX_SEGMENT_BRANCHES,
+    assert_well_formed, has_short_backward_branch, SegEndReason, SegmentInst, MAX_SEGMENT_BRANCHES,
     MAX_SEGMENT_INSTS,
 };
 
-/// Inline scratch buffer for a pending segment or fetch block — both are
-/// bounded by the line size, so the fill unit never heap-allocates in
-/// steady state.
-type InstBuf = InlineVec<SegmentInst, MAX_SEGMENT_INSTS>;
+/// Slots in the fill buffer. Between retires the pending segment holds
+/// at most 15 instructions (a 16th finalizes it) and the open block at
+/// most 15 (a 16th closes it), so one retire writes at most slot 30.
+const FILL_BUF: usize = 2 * MAX_SEGMENT_INSTS;
 
 /// How the fill unit treats a retired block that does not fit in the
 /// pending segment (§5 of the paper).
@@ -98,25 +95,48 @@ enum Promoter {
     Static(StaticPromotionTable),
 }
 
+/// A segment finalized by the latest retire: `buf[start..end]`.
+#[derive(Debug, Clone, Copy)]
+struct Finalized {
+    start: usize,
+    end: usize,
+    reason: SegEndReason,
+}
+
 /// The fill unit.
 ///
 /// Collects retired instructions into fetch blocks, merges blocks into a
 /// pending segment under the configured [`PackingPolicy`], and performs
 /// **branch promotion** when built with a bias table (or a static
-/// profile). Finalized segments queue up for the trace cache
-/// ([`FillUnit::pop_segment`]).
+/// profile). The segments one retire finalizes — at most two — are read
+/// through [`FillUnit::finalized`] until the next retire.
 ///
 /// Per the paper: conditional branches terminate fetch blocks (promoted
 /// ones do not); unconditional jumps and calls never terminate blocks;
 /// returns, indirect jumps/calls and traps finalize the pending segment
 /// outright.
+///
+/// Segments are built in place. One buffer holds, in order, the
+/// segments the latest retire finalized, the pending segment, and the
+/// open block, which is written directly after the pending
+/// instructions: a block that fits joins the segment without moving,
+/// and a packing split only moves the boundary between them. The next
+/// retire moves the pending remainder (at most 15 instructions) back to
+/// the front of the buffer.
 #[derive(Debug, Clone)]
 pub struct FillUnit {
     policy: PackingPolicy,
     promoter: Promoter,
-    pending: InstBuf,
-    current_block: InstBuf,
-    finalized: VecDeque<TraceSegment>,
+    buf: [SegmentInst; FILL_BUF],
+    /// Start of the pending segment in `buf`; everything before it
+    /// belongs to `finalized`.
+    seg: usize,
+    /// End of the pending segment, which is where the open block starts.
+    block: usize,
+    /// End of the open block.
+    end: usize,
+    finalized: [Finalized; 2],
+    finalized_len: usize,
     stats: FillStats,
     violations: Vec<ViolationKind>,
 }
@@ -126,15 +146,23 @@ impl FillUnit {
     /// branch promotion.
     #[must_use]
     pub fn new(policy: PackingPolicy, bias: Option<BiasTable>) -> FillUnit {
+        let none = Finalized {
+            start: 0,
+            end: 0,
+            reason: SegEndReason::MaxSize,
+        };
         FillUnit {
             policy,
             promoter: match bias {
                 Some(b) => Promoter::Dynamic(b),
                 None => Promoter::None,
             },
-            pending: InstBuf::new(),
-            current_block: InstBuf::new(),
-            finalized: VecDeque::new(),
+            buf: [SegmentInst::default(); FILL_BUF],
+            seg: 0,
+            block: 0,
+            end: 0,
+            finalized: [none; 2],
+            finalized_len: 0,
             stats: FillStats::default(),
             violations: Vec::new(),
         }
@@ -147,6 +175,21 @@ impl FillUnit {
             promoter: Promoter::Static(table),
             ..FillUnit::new(policy, None)
         }
+    }
+
+    /// Returns to the state of a new fill unit: nothing pending or
+    /// finalized, zero statistics, and a bias table that has seen no
+    /// branch (its overrides kept). A static promotion table is kept.
+    pub fn reset(&mut self) {
+        if let Promoter::Dynamic(bias) = &mut self.promoter {
+            bias.reset();
+        }
+        self.seg = 0;
+        self.block = 0;
+        self.end = 0;
+        self.finalized_len = 0;
+        self.stats = FillStats::default();
+        self.violations.clear();
     }
 
     /// The packing policy in force.
@@ -180,14 +223,14 @@ impl FillUnit {
 
     /// Drops the in-flight (pending) segment state — the stalled-fill
     /// fault: retired instructions accumulated toward the next trace
-    /// segment are lost, as if the fill pipeline was flushed. Finalized
-    /// segments already queued are untouched. Returns `false` when
-    /// nothing was pending. Architecturally invisible; only fill-rate
-    /// statistics feel it.
+    /// segment are lost, as if the fill pipeline was flushed. Segments
+    /// already finalized are untouched. Returns `false` when nothing was
+    /// pending. Architecturally invisible; only fill-rate statistics
+    /// feel it.
     pub fn fault_drop_pending(&mut self) -> bool {
-        let had = !self.pending.is_empty() || !self.current_block.is_empty();
-        self.pending.clear();
-        self.current_block.clear();
+        let had = self.end > self.seg;
+        self.block = self.seg;
+        self.end = self.seg;
         had
     }
 
@@ -197,9 +240,13 @@ impl FillUnit {
         &self.stats
     }
 
-    /// Takes the next finalized segment, in retirement order.
-    pub fn pop_segment(&mut self) -> Option<TraceSegment> {
-        self.finalized.pop_front()
+    /// The segments the latest retire finalized, in retirement order,
+    /// as their instructions and end reason (at most two; none when it
+    /// finalized nothing). Valid until the next retire.
+    pub fn finalized(&self) -> impl Iterator<Item = (&[SegmentInst], SegEndReason)> + '_ {
+        self.finalized[..self.finalized_len]
+            .iter()
+            .map(|f| (&self.buf[f.start..f.end], f.reason))
     }
 
     /// Drains invariant violations observed while merging blocks, for
@@ -218,6 +265,7 @@ impl FillUnit {
     /// [`FillUnit::retire`] with an attached [`Tracer`]. With the
     /// [`NoopTracer`] this monomorphizes to exactly the untraced path.
     pub fn retire_traced<T: Tracer>(&mut self, rec: &ExecRecord, tracer: &mut T) {
+        self.compact();
         let kind = rec.control_kind();
         let mut promoted = None;
         if kind == ControlKind::CondBranch {
@@ -226,11 +274,11 @@ impl FillUnit {
                 Promoter::Dynamic(bias) => {
                     // Bias table updates at retire; the promotion query
                     // for this instance sees the update (Figure 5).
-                    let transition = bias.update(rec.pc.byte_addr(), rec.taken);
+                    let (transition, decision) = bias.update(rec.pc.byte_addr(), rec.taken);
                     if T::ENABLED {
                         emit_bias_transition(tracer, rec.pc, transition);
                     }
-                    match bias.decision(rec.pc.byte_addr()) {
+                    match decision {
                         BiasDecision::Promote(dir) => Some(dir),
                         BiasDecision::Normal => None,
                     }
@@ -245,44 +293,54 @@ impl FillUnit {
             }
         }
 
-        self.current_block.push(SegmentInst {
+        self.buf[self.end] = SegmentInst {
             pc: rec.pc,
             instr: rec.instr,
             taken: rec.taken,
             promoted,
-        });
+        };
+        self.end += 1;
 
         let ends_segment = kind.ends_segment();
         let ends_block = (kind == ControlKind::CondBranch && promoted.is_none()) || ends_segment;
-        let forced = self.current_block.len() == MAX_SEGMENT_INSTS;
+        let forced = self.end - self.block == MAX_SEGMENT_INSTS;
 
         if ends_block || forced {
-            // Move the block out by (inline) copy so `merge_block` can
-            // borrow it alongside `&mut self` — no heap traffic.
-            let block = std::mem::take(&mut self.current_block);
-            self.merge_block(&block, ends_segment, tracer);
+            self.merge_block(ends_segment, tracer);
         }
     }
 
     /// Number of instructions currently pending (un-finalized).
     #[must_use]
     pub fn pending_len(&self) -> usize {
-        self.pending.len() + self.current_block.len()
+        self.end - self.seg
     }
 
-    fn pending_branches(&self) -> usize {
-        self.pending.iter().filter(|i| i.needs_prediction()).count()
+    /// Moves the pending segment and open block to the front of the
+    /// buffer once the segments before them have been read.
+    fn compact(&mut self) {
+        self.finalized_len = 0;
+        if self.seg > 0 {
+            self.buf.copy_within(self.seg..self.end, 0);
+            self.block -= self.seg;
+            self.end -= self.seg;
+            self.seg = 0;
+        }
+    }
+
+    fn pending(&self) -> &[SegmentInst] {
+        &self.buf[self.seg..self.block]
     }
 
     fn finalize<T: Tracer>(&mut self, reason: SegEndReason, tracer: &mut T) {
-        if self.pending.is_empty() {
+        if self.block == self.seg {
             return;
         }
-        let insts = self.pending.as_slice();
-        self.stats.segments += 1;
-        self.stats.segment_insts += insts.len() as u64;
+        let insts = &self.buf[self.seg..self.block];
         let promoted = insts.iter().filter(|i| i.promoted.is_some()).count();
         let dynamic = insts.iter().filter(|i| i.needs_prediction()).count();
+        self.stats.segments += 1;
+        self.stats.segment_insts += insts.len() as u64;
         self.stats.promoted_embedded += promoted as u64;
         self.stats.dynamic_embedded += dynamic as u64;
         if T::ENABLED {
@@ -294,46 +352,55 @@ impl FillUnit {
                 reason: reason.into(),
             });
         }
-        let segment = TraceSegment::new(insts, reason);
-        self.pending.clear();
-        self.finalized.push_back(segment);
+        assert_well_formed(insts.len(), dynamic);
+        self.finalized[self.finalized_len] = Finalized {
+            start: self.seg,
+            end: self.block,
+            reason,
+        };
+        self.finalized_len += 1;
+        self.seg = self.block;
     }
 
-    /// Appends a whole block that fits, applying the finalize rules.
-    fn append_fitting<T: Tracer>(
-        &mut self,
-        mut block: &[SegmentInst],
-        ends_segment: bool,
-        tracer: &mut T,
-    ) {
-        if self.pending.len() + block.len() > MAX_SEGMENT_INSTS {
+    /// Appends the open block, which fits, to the pending segment and
+    /// applies the finalize rules.
+    fn append_fitting<T: Tracer>(&mut self, ends_segment: bool, tracer: &mut T) {
+        let pending = self.block - self.seg;
+        let mut len = self.end - self.block;
+        if pending + len > MAX_SEGMENT_INSTS {
             // A broken merge decision. Record the violation for the
             // sanitizer and clamp so the segment stays well-formed.
             self.violations.push(ViolationKind::PendingOverflow {
-                pending: self.pending.len(),
-                block: block.len(),
+                pending,
+                block: len,
             });
-            block = &block[..MAX_SEGMENT_INSTS - self.pending.len()];
+            len = MAX_SEGMENT_INSTS - pending;
         }
-        self.pending.extend_from_slice(block);
+        self.block += len;
+        self.end = self.block;
         if ends_segment {
             self.finalize(SegEndReason::RetIndTrap, tracer);
-        } else if self.pending.len() == MAX_SEGMENT_INSTS {
+        } else if self.block - self.seg == MAX_SEGMENT_INSTS {
             self.finalize(SegEndReason::MaxSize, tracer);
-        } else if self.pending_branches() == MAX_SEGMENT_BRANCHES {
+        } else if self
+            .pending()
+            .iter()
+            .filter(|i| i.needs_prediction())
+            .count()
+            == MAX_SEGMENT_BRANCHES
+        {
             self.finalize(SegEndReason::MaxBranches, tracer);
         }
     }
 
-    fn merge_block<T: Tracer>(
-        &mut self,
-        block: &[SegmentInst],
-        ends_segment: bool,
-        tracer: &mut T,
-    ) {
-        let space = MAX_SEGMENT_INSTS - self.pending.len();
-        if block.len() <= space {
-            self.append_fitting(block, ends_segment, tracer);
+    /// Merges the open block (`buf[block..end]`) into the pending
+    /// segment under the packing policy.
+    fn merge_block<T: Tracer>(&mut self, ends_segment: bool, tracer: &mut T) {
+        let pending = self.block - self.seg;
+        let len = self.end - self.block;
+        let space = MAX_SEGMENT_INSTS - pending;
+        if len <= space {
+            self.append_fitting(ends_segment, tracer);
             return;
         }
         // The block does not fit: the policy decides (the verdict names
@@ -350,9 +417,9 @@ impl FillUnit {
                 }
             }
             PackingPolicy::CostRegulated => {
-                if 2 * space >= self.pending.len() {
+                if 2 * space >= pending {
                     (space, PackVerdict::SpareCapacity)
-                } else if has_short_backward_branch(&self.pending, 32) {
+                } else if has_short_backward_branch(self.pending(), 32) {
                     (space, PackVerdict::TightLoop)
                 } else {
                     (0, PackVerdict::CostRefused)
@@ -372,37 +439,36 @@ impl FillUnit {
             self.stats.splits_refused += 1;
             if T::ENABLED {
                 tracer.emit(TraceEvent::PackRefused {
-                    pending: self.pending.len() as u8,
-                    block: block.len() as u8,
+                    pending: pending as u8,
+                    block: len as u8,
                     verdict,
                 });
             }
             self.finalize(SegEndReason::AtomicBlock, tracer);
-            self.append_fitting(block, ends_segment, tracer);
+            self.append_fitting(ends_segment, tracer);
             return;
         }
-        // Packing: head finishes the pending segment, tail starts the
-        // next one.
+        // Packing: the block's head finishes the pending segment where
+        // it stands, and its tail starts the next one.
         self.stats.blocks_split += 1;
         if T::ENABLED {
             tracer.emit(TraceEvent::PackPerformed {
                 head: take as u8,
-                tail: (block.len() - take) as u8,
+                tail: (len - take) as u8,
                 verdict,
             });
         }
-        let (head, tail) = block.split_at(take);
-        self.pending.extend_from_slice(head);
+        self.block += take;
         // A performed split that still leaves the line non-full (chunk
         // granularity) is `Packed`, not `AtomicBlock`: the histograms
         // must keep performed and refused splits apart.
-        let reason = if self.pending.len() == MAX_SEGMENT_INSTS {
+        let reason = if self.block - self.seg == MAX_SEGMENT_INSTS {
             SegEndReason::MaxSize
         } else {
             SegEndReason::Packed
         };
         self.finalize(reason, tracer);
-        self.append_fitting(tail, ends_segment, tracer);
+        self.append_fitting(ends_segment, tracer);
     }
 }
 
@@ -437,12 +503,46 @@ fn emit_bias_transition<T: Tracer>(tracer: &mut T, pc: Addr, transition: BiasUpd
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::TraceSegment;
+    use std::collections::VecDeque;
     use tc_isa::{Addr, Cond, Instr, Reg};
     use tc_predict::BiasConfig;
 
+    /// A fill unit whose finalized segments are read after every retire
+    /// and queued, as the front end reads them, so a test can retire
+    /// several blocks before looking.
+    pub(super) struct Collector {
+        pub(super) unit: FillUnit,
+        segments: VecDeque<TraceSegment>,
+    }
+
+    impl Collector {
+        pub(super) fn new(unit: FillUnit) -> Collector {
+            Collector {
+                unit,
+                segments: VecDeque::new(),
+            }
+        }
+
+        pub(super) fn retire(&mut self, rec: &ExecRecord) {
+            self.unit.retire(rec);
+            for (insts, reason) in self.unit.finalized() {
+                self.segments.push_back(TraceSegment::new(insts, reason));
+            }
+        }
+
+        pub(super) fn pop_segment(&mut self) -> Option<TraceSegment> {
+            self.segments.pop_front()
+        }
+
+        fn stats(&self) -> &FillStats {
+            self.unit.stats()
+        }
+    }
+
     /// Feeds `n` straight-line instructions ending with a conditional
     /// branch at sequential addresses starting at `pc`.
-    fn feed_block(fill: &mut FillUnit, pc: &mut u32, n: usize, taken: bool) {
+    fn feed_block(fill: &mut Collector, pc: &mut u32, n: usize, taken: bool) {
         for i in 0..n {
             let is_last = i == n - 1;
             let instr = if is_last {
@@ -470,7 +570,7 @@ mod tests {
         }
     }
 
-    fn feed_ret(fill: &mut FillUnit, pc: &mut u32) {
+    fn feed_ret(fill: &mut Collector, pc: &mut u32) {
         fill.retire(&ExecRecord {
             pc: Addr::new(*pc),
             instr: Instr::Ret,
@@ -483,7 +583,7 @@ mod tests {
 
     #[test]
     fn three_branches_finalize_a_segment() {
-        let mut f = FillUnit::new(PackingPolicy::Atomic, None);
+        let mut f = Collector::new(FillUnit::new(PackingPolicy::Atomic, None));
         let mut pc = 0;
         feed_block(&mut f, &mut pc, 4, false);
         feed_block(&mut f, &mut pc, 4, false);
@@ -497,7 +597,7 @@ mod tests {
 
     #[test]
     fn atomic_policy_never_splits_blocks() {
-        let mut f = FillUnit::new(PackingPolicy::Atomic, None);
+        let mut f = Collector::new(FillUnit::new(PackingPolicy::Atomic, None));
         let mut pc = 0;
         feed_block(&mut f, &mut pc, 13, false);
         feed_block(&mut f, &mut pc, 9, false); // doesn't fit in 3 slots
@@ -509,7 +609,7 @@ mod tests {
 
     #[test]
     fn unregulated_packing_fills_to_sixteen() {
-        let mut f = FillUnit::new(PackingPolicy::Unregulated, None);
+        let mut f = Collector::new(FillUnit::new(PackingPolicy::Unregulated, None));
         let mut pc = 0;
         feed_block(&mut f, &mut pc, 13, false);
         feed_block(&mut f, &mut pc, 9, false);
@@ -525,7 +625,7 @@ mod tests {
 
     #[test]
     fn chunked_packing_splits_at_multiples() {
-        let mut f = FillUnit::new(PackingPolicy::Chunk(4), None);
+        let mut f = Collector::new(FillUnit::new(PackingPolicy::Chunk(4), None));
         let mut pc = 0;
         feed_block(&mut f, &mut pc, 10, false); // 6 slots left
         feed_block(&mut f, &mut pc, 9, false); // take (6/4)*4 = 4
@@ -539,7 +639,7 @@ mod tests {
     /// splits, so the two stay distinct in the termination histograms.
     #[test]
     fn performed_nonfull_split_finalizes_as_packed() {
-        let mut f = FillUnit::new(PackingPolicy::Chunk(4), None);
+        let mut f = Collector::new(FillUnit::new(PackingPolicy::Chunk(4), None));
         let mut pc = 0;
         feed_block(&mut f, &mut pc, 10, false); // 6 slots left
         feed_block(&mut f, &mut pc, 9, false); // take 4: line closes at 14
@@ -552,7 +652,7 @@ mod tests {
 
     #[test]
     fn chunked_packing_refuses_tiny_splits() {
-        let mut f = FillUnit::new(PackingPolicy::Chunk(4), None);
+        let mut f = Collector::new(FillUnit::new(PackingPolicy::Chunk(4), None));
         let mut pc = 0;
         feed_block(&mut f, &mut pc, 14, false); // 2 slots < n
         feed_block(&mut f, &mut pc, 9, false);
@@ -569,13 +669,13 @@ mod tests {
     #[test]
     fn cost_regulation_packs_only_when_worthwhile() {
         // Pending of 13: unused (3) < 13/2 — refuse.
-        let mut f = FillUnit::new(PackingPolicy::CostRegulated, None);
+        let mut f = Collector::new(FillUnit::new(PackingPolicy::CostRegulated, None));
         let mut pc = 0;
         feed_block(&mut f, &mut pc, 13, false);
         feed_block(&mut f, &mut pc, 9, false);
         assert_eq!(f.pop_segment().unwrap().len(), 13);
         // Pending of 8: unused (8) >= 8/2 — pack.
-        let mut f = FillUnit::new(PackingPolicy::CostRegulated, None);
+        let mut f = Collector::new(FillUnit::new(PackingPolicy::CostRegulated, None));
         let mut pc = 0;
         feed_block(&mut f, &mut pc, 8, false);
         feed_block(&mut f, &mut pc, 12, false);
@@ -586,7 +686,7 @@ mod tests {
     fn cost_regulation_packs_tight_loops() {
         // A pending segment with a short backward branch packs even when
         // the unused-space test fails.
-        let mut f = FillUnit::new(PackingPolicy::CostRegulated, None);
+        let mut f = Collector::new(FillUnit::new(PackingPolicy::CostRegulated, None));
         // Build a 12-inst pending block ending with a backward branch.
         for i in 0..12u32 {
             let is_last = i == 11;
@@ -618,7 +718,7 @@ mod tests {
 
     #[test]
     fn returns_finalize_segments() {
-        let mut f = FillUnit::new(PackingPolicy::Atomic, None);
+        let mut f = Collector::new(FillUnit::new(PackingPolicy::Atomic, None));
         let mut pc = 0;
         feed_block(&mut f, &mut pc, 3, false);
         feed_ret(&mut f, &mut pc);
@@ -630,7 +730,7 @@ mod tests {
 
     /// Retires one iteration of a 2-instruction loop: `nop @0; br @1
     /// taken -> 0` — a contiguous retire stream when repeated.
-    fn feed_loop_iteration(fill: &mut FillUnit) {
+    fn feed_loop_iteration(fill: &mut Collector) {
         fill.retire(&ExecRecord {
             pc: Addr::new(0),
             instr: Instr::Nop,
@@ -660,7 +760,7 @@ mod tests {
             counter_bits: 8,
             tagged: true,
         });
-        let mut f = FillUnit::new(PackingPolicy::Atomic, Some(bias));
+        let mut f = Collector::new(FillUnit::new(PackingPolicy::Atomic, Some(bias)));
         // Warm the bias table on the loop's back-edge branch.
         for _ in 0..8 {
             feed_loop_iteration(&mut f);
@@ -684,7 +784,7 @@ mod tests {
 
     #[test]
     fn blocks_over_sixteen_are_force_split() {
-        let mut f = FillUnit::new(PackingPolicy::Atomic, None);
+        let mut f = Collector::new(FillUnit::new(PackingPolicy::Atomic, None));
         let mut pc = 0;
         feed_block(&mut f, &mut pc, 20, false);
         let seg = f.pop_segment().expect("forced split at 16");
@@ -692,9 +792,89 @@ mod tests {
         assert_eq!(seg.end_reason(), SegEndReason::MaxSize);
     }
 
+    /// `finalized` holds what the latest retire finalized and nothing
+    /// else: empty after a retire that closed no segment, and both
+    /// segments, in order, when one retire closes two.
+    #[test]
+    fn finalized_lists_the_latest_retires_segments() {
+        let mut f = Collector::new(FillUnit::new(PackingPolicy::Atomic, None));
+        let mut pc = 0;
+        feed_block(&mut f, &mut pc, 12, false);
+        assert_eq!(f.unit.finalized().count(), 0);
+        assert_eq!(f.unit.pending_len(), 12);
+        let mut f = f.unit;
+        // A 6-instruction block ending in a return does not fit beside
+        // the 12 pending: the pending segment closes as an atomic block,
+        // then the block closes on its return — two segments, one retire.
+        for i in 0..6 {
+            let last = i == 5;
+            f.retire(&ExecRecord {
+                pc: Addr::new(pc),
+                instr: if last { Instr::Ret } else { Instr::Nop },
+                next_pc: Addr::new(pc + 1),
+                taken: false,
+                mem_addr: None,
+            });
+            pc += 1;
+            if !last {
+                // The open block grows after the pending instructions.
+                assert_eq!(f.finalized().count(), 0);
+                assert_eq!(f.pending_len(), 13 + i);
+            }
+        }
+        let segs: Vec<_> = f.finalized().map(|(i, r)| (i.len(), i[0].pc, r)).collect();
+        assert_eq!(
+            segs,
+            [
+                (12, Addr::new(0), SegEndReason::AtomicBlock),
+                (6, Addr::new(12), SegEndReason::RetIndTrap)
+            ]
+        );
+        assert_eq!(f.pending_len(), 0);
+        // The next retire starts over at the front of the buffer.
+        f.retire(&ExecRecord {
+            pc: Addr::new(pc),
+            instr: Instr::Nop,
+            next_pc: Addr::new(pc + 1),
+            taken: false,
+            mem_addr: None,
+        });
+        assert_eq!(f.finalized().count(), 0);
+        assert_eq!(f.pending_len(), 1);
+    }
+
+    /// A reset fill unit behaves as a new one.
+    #[test]
+    fn reset_matches_a_new_unit() {
+        let bias = || {
+            BiasTable::new(BiasConfig {
+                entries: 64,
+                threshold: 4,
+                counter_bits: 8,
+                tagged: true,
+            })
+        };
+        let mut used = Collector::new(FillUnit::new(PackingPolicy::Unregulated, Some(bias())));
+        for _ in 0..8 {
+            feed_loop_iteration(&mut used);
+        }
+        feed_loop_iteration(&mut used);
+        used.unit.reset();
+        let mut fresh = Collector::new(FillUnit::new(PackingPolicy::Unregulated, Some(bias())));
+        for f in [&mut used, &mut fresh] {
+            f.segments.clear();
+            for _ in 0..12 {
+                feed_loop_iteration(f);
+            }
+        }
+        assert_eq!(used.segments, fresh.segments);
+        assert_eq!(used.stats(), fresh.stats());
+        assert_eq!(used.unit.pending_len(), fresh.unit.pending_len());
+    }
+
     #[test]
     fn stats_track_averages() {
-        let mut f = FillUnit::new(PackingPolicy::Atomic, None);
+        let mut f = Collector::new(FillUnit::new(PackingPolicy::Atomic, None));
         let mut pc = 0;
         feed_block(&mut f, &mut pc, 8, false);
         feed_block(&mut f, &mut pc, 8, false);
@@ -706,6 +886,7 @@ mod tests {
 
 #[cfg(test)]
 mod static_promotion_tests {
+    use super::tests::Collector;
     use super::*;
     use crate::promote::StaticPromotionTable;
     use tc_isa::{Addr, Cond, Instr, Reg};
@@ -714,9 +895,9 @@ mod static_promotion_tests {
     fn static_table_promotes_without_warmup() {
         let mut table = StaticPromotionTable::new();
         table.insert(Addr::new(1), true);
-        let mut f = FillUnit::new_static(PackingPolicy::Atomic, table);
-        assert!(f.promotes());
-        assert!(f.bias_table().is_none());
+        let mut f = Collector::new(FillUnit::new_static(PackingPolicy::Atomic, table));
+        assert!(f.unit.promotes());
+        assert!(f.unit.bias_table().is_none());
         // First-ever retirement of the loop: already promoted.
         for _ in 0..8 {
             f.retire(&ExecRecord {
@@ -748,7 +929,7 @@ mod static_promotion_tests {
     fn contradicting_instance_is_not_promoted() {
         let mut table = StaticPromotionTable::new();
         table.insert(Addr::new(0), true);
-        let mut f = FillUnit::new_static(PackingPolicy::Atomic, table);
+        let mut f = Collector::new(FillUnit::new_static(PackingPolicy::Atomic, table));
         // The instance goes the other way: built as a normal branch.
         f.retire(&ExecRecord {
             pc: Addr::new(0),

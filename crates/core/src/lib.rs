@@ -43,7 +43,7 @@ pub use config::{FrontEndConfig, PredictorChoice, PromotionConfig};
 pub use fetch::{
     FetchBundle, FetchSource, FetchStep, FetchedInst, FrontEnd, NextPc, QuarantineStats,
 };
-pub use fill::{FillUnit, PackingPolicy};
+pub use fill::{FillStats, FillUnit, PackingPolicy};
 pub use inline_vec::InlineVec;
 pub use promote::StaticPromotionTable;
 pub use sanitize::{

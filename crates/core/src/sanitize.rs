@@ -304,15 +304,15 @@ impl Sanitizer {
     /// Validates a freshly finalized segment before the trace-cache
     /// write. With a bias table, also checks that every promoted branch
     /// still has a live promoting entry.
-    pub fn check_fill(&mut self, segment: &TraceSegment, bias: Option<&BiasTable>) {
+    pub fn check_fill(&mut self, insts: &[SegmentInst], bias: Option<&BiasTable>) {
         if !self.enabled {
             return;
         }
         self.stats.checked_fills += 1;
-        self.check_insts(CheckSite::Fill, segment.insts());
+        self.check_insts(CheckSite::Fill, insts);
         if let Some(bias) = bias {
-            let start = segment.insts().first().map(|si| si.pc);
-            for si in segment.insts() {
+            let start = insts.first().map(|si| si.pc);
+            for si in insts {
                 if si.promoted.is_some()
                     && !matches!(bias.decision(si.pc.byte_addr()), BiasDecision::Promote(_))
                 {
@@ -421,7 +421,7 @@ mod tests {
     fn clean_segment_passes_every_check() {
         let mut s = Sanitizer::new(true);
         let seg = TraceSegment::new(&[nop(0), nop(1), nop(2)], SegEndReason::AtomicBlock);
-        s.check_fill(&seg, None);
+        s.check_fill(seg.insts(), None);
         s.check_hit(seg.insts());
         s.check_resident(&seg);
         assert!(s.violations().is_empty());

@@ -134,20 +134,21 @@ impl TraceSegment {
     /// than three non-promoted conditional branches.
     #[must_use]
     pub fn new(insts: &[SegmentInst], end_reason: SegEndReason) -> TraceSegment {
-        assert!(!insts.is_empty(), "trace segment cannot be empty");
-        assert!(
-            insts.len() <= MAX_SEGMENT_INSTS,
-            "trace segment over 16 instructions"
-        );
-        let branches = insts.iter().filter(|i| i.needs_prediction()).count();
-        assert!(
-            branches <= MAX_SEGMENT_BRANCHES,
-            "trace segment has {branches} non-promoted branches"
-        );
+        check_shape(insts);
         TraceSegment {
             insts: InlineVec::from_slice(insts),
             end_reason,
         }
+    }
+
+    /// Overwrites this segment in place with `insts`, under the same
+    /// checks as [`TraceSegment::new`] — how a trace-cache fill reuses
+    /// a line's storage.
+    pub(crate) fn assign(&mut self, insts: &[SegmentInst], end_reason: SegEndReason) {
+        check_shape(insts);
+        self.insts.clear();
+        self.insts.extend_from_slice(insts);
+        self.end_reason = end_reason;
     }
 
     /// The segment's start address (its trace-cache tag).
@@ -261,6 +262,27 @@ impl TraceSegment {
     pub fn ends_trap(&self) -> bool {
         self.last().instr.control_kind() == ControlKind::Trap
     }
+}
+
+/// The panics of [`TraceSegment::new`], for a segment of `len`
+/// instructions with `dynamic_branches` non-promoted conditional
+/// branches: the limits every finalized segment and every stored line
+/// meets.
+pub(crate) fn assert_well_formed(len: usize, dynamic_branches: usize) {
+    assert!(len > 0, "trace segment cannot be empty");
+    assert!(
+        len <= MAX_SEGMENT_INSTS,
+        "trace segment over 16 instructions"
+    );
+    assert!(
+        dynamic_branches <= MAX_SEGMENT_BRANCHES,
+        "trace segment has {dynamic_branches} non-promoted branches"
+    );
+}
+
+fn check_shape(insts: &[SegmentInst]) {
+    let branches = insts.iter().filter(|i| i.needs_prediction()).count();
+    assert_well_formed(insts.len(), branches);
 }
 
 /// Slice-level form of [`TraceSegment::has_short_backward_branch`], so

@@ -3,7 +3,7 @@
 use tc_isa::Addr;
 
 use crate::sanitize::{CheckSite, Sanitizer, ViolationKind};
-use crate::segment::TraceSegment;
+use crate::segment::{SegEndReason, SegmentInst, TraceSegment};
 
 /// Trace cache geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -278,21 +278,24 @@ impl TraceCache {
         tag.start
     }
 
-    /// Writes `segment` into the line at MRU position `pos` of set `si`
-    /// (resident or just past the resident tags) and makes it the most
-    /// recently used.
-    fn write_at(&mut self, si: usize, pos: usize, segment: TraceSegment) {
+    /// Writes the segment `insts`/`reason` into the line at MRU
+    /// position `pos` of set `si` (resident or just past the resident
+    /// tags) and makes it the most recently used. A slot the set held
+    /// before is overwritten in place.
+    fn write_at(&mut self, si: usize, pos: usize, insts: &[SegmentInst], reason: SegEndReason) {
         let slot = si * self.config.ways + pos;
-        let start = segment.start();
         let line = self.tags[slot].line;
         let line = if line == NO_LINE {
-            self.lines.push(segment);
+            self.lines.push(TraceSegment::new(insts, reason));
             (self.lines.len() - 1) as u32
         } else {
-            self.lines[line as usize] = segment;
+            self.lines[line as usize].assign(insts, reason);
             line
         };
-        self.tags[slot] = WayTag { start, line };
+        self.tags[slot] = WayTag {
+            start: insts[0].pc,
+            line,
+        };
         self.promote(si, pos);
     }
 
@@ -360,18 +363,27 @@ impl TraceCache {
             .map(|t| &self.lines[t.line as usize])
     }
 
-    /// Writes a segment built by the fill unit.
+    /// Writes the segment the fill unit built from `insts`, finalized
+    /// for `reason`.
     ///
     /// Without path associativity, any resident segment with the same
     /// start address is replaced (at most one path per start address);
     /// with it, distinct paths from the same start coexist. An
     /// *identical* resident segment is refreshed rather than rewritten
-    /// in both modes.
-    pub fn fill(&mut self, segment: TraceSegment) -> FillOutcome {
-        let si = self.set_index(segment.start());
+    /// in both modes: the resident lines are compared against `insts`
+    /// before anything is written, so only a real fill copies the
+    /// instructions.
+    ///
+    /// # Panics
+    ///
+    /// Panics, as [`TraceSegment::new`] does, when a written segment is
+    /// empty, longer than 16 instructions, or carries more than three
+    /// non-promoted conditional branches.
+    pub fn fill(&mut self, insts: &[SegmentInst], reason: SegEndReason) -> FillOutcome {
+        let start = insts.first().expect("trace segment cannot be empty").pc;
+        let si = self.set_index(start);
         let len = self.lens[si] as usize;
         let base = si * self.config.ways;
-        let start = segment.start();
         // Identical segments share a start, so the duplicate search only
         // visits same-start ways: all of them with path associativity;
         // without it, the first (most recently used), which a different
@@ -382,7 +394,8 @@ impl TraceCache {
             if tag.start != start {
                 continue;
             }
-            if self.lines[tag.line as usize] == segment {
+            let line = &self.lines[tag.line as usize];
+            if line.end_reason() == reason && line.insts() == insts {
                 self.promote(si, pos);
                 self.stats.duplicate_fills += 1;
                 return FillOutcome::DUPLICATE;
@@ -393,17 +406,17 @@ impl TraceCache {
             }
         }
         if let Some(pos) = same_start {
-            self.write_at(si, pos, segment);
+            self.write_at(si, pos, insts, reason);
             self.stats.fills += 1;
             return FillOutcome::REPLACED;
         }
         let evicted = len == self.config.ways;
         if evicted {
             self.stats.evictions += 1;
-            self.write_at(si, len - 1, segment);
+            self.write_at(si, len - 1, insts, reason);
         } else {
             self.lens[si] += 1;
-            self.write_at(si, len, segment);
+            self.write_at(si, len, insts, reason);
         }
         self.stats.fills += 1;
         FillOutcome {
@@ -555,6 +568,11 @@ mod tests {
         TraceSegment::new(&insts, SegEndReason::AtomicBlock)
     }
 
+    /// Fills `tc` with a copy of `seg`'s instructions.
+    pub(super) fn fill(tc: &mut TraceCache, seg: &TraceSegment) -> FillOutcome {
+        tc.fill(seg.insts(), seg.end_reason())
+    }
+
     fn small_cache() -> TraceCache {
         TraceCache::new(TraceCacheConfig {
             entries: 8,
@@ -573,7 +591,7 @@ mod tests {
     #[test]
     fn fill_then_lookup_hits() {
         let mut tc = small_cache();
-        tc.fill(seg(0x40, 5));
+        fill(&mut tc, &seg(0x40, 5));
         assert!(tc.lookup(Addr::new(0x40)).is_some());
         assert!(tc.lookup(Addr::new(0x44)).is_none());
         assert_eq!(tc.stats().hits, 1);
@@ -583,8 +601,8 @@ mod tests {
     #[test]
     fn no_path_associativity() {
         let mut tc = small_cache();
-        tc.fill(seg(0x10, 4));
-        tc.fill(seg(0x10, 7)); // different path from the same start
+        fill(&mut tc, &seg(0x10, 4));
+        fill(&mut tc, &seg(0x10, 7)); // different path from the same start
         assert_eq!(tc.resident(), 1, "one segment per start address");
         assert_eq!(tc.probe(Addr::new(0x10)).unwrap().len(), 7);
     }
@@ -592,20 +610,47 @@ mod tests {
     #[test]
     fn duplicate_fill_refreshes_instead_of_writing() {
         let mut tc = small_cache();
-        tc.fill(seg(0x10, 4));
-        tc.fill(seg(0x10, 4));
+        fill(&mut tc, &seg(0x10, 4));
+        fill(&mut tc, &seg(0x10, 4));
         assert_eq!(tc.stats().fills, 1);
         assert_eq!(tc.stats().duplicate_fills, 1);
+    }
+
+    /// A duplicate is the same instructions finalized for the same
+    /// reason; the same instructions ended differently are a new path.
+    #[test]
+    fn duplicate_fill_needs_the_same_end_reason() {
+        let mut tc = small_cache();
+        let s = seg(0x10, 4);
+        tc.fill(s.insts(), SegEndReason::AtomicBlock);
+        let outcome = tc.fill(s.insts(), SegEndReason::Packed);
+        assert!(!outcome.duplicate && outcome.evicted, "same start replaced");
+        assert_eq!(tc.stats().duplicate_fills, 0);
+        assert_eq!(
+            tc.probe(Addr::new(0x10)).unwrap().end_reason(),
+            SegEndReason::Packed
+        );
+    }
+
+    /// A fill writes only well-formed segments, as `TraceSegment::new`
+    /// builds only well-formed ones.
+    #[test]
+    #[should_panic(expected = "trace segment over 16 instructions")]
+    fn fill_refuses_an_oversized_segment() {
+        let long = seg(0, 16);
+        let mut insts = long.insts().to_vec();
+        insts.push(insts[15]);
+        small_cache().fill(&insts, SegEndReason::MaxSize);
     }
 
     #[test]
     fn lru_eviction_within_set() {
         let mut tc = small_cache(); // 4 sets, 2 ways
                                     // Three segments mapping to set 0 (addresses multiple of 4).
-        tc.fill(seg(0, 3));
-        tc.fill(seg(4, 3));
+        fill(&mut tc, &seg(0, 3));
+        fill(&mut tc, &seg(4, 3));
         tc.lookup(Addr::new(0)); // refresh 0
-        tc.fill(seg(8, 3)); // evicts 4
+        fill(&mut tc, &seg(8, 3)); // evicts 4
         assert!(tc.probe(Addr::new(0)).is_some());
         assert!(tc.probe(Addr::new(4)).is_none());
         assert!(tc.probe(Addr::new(8)).is_some());
@@ -615,14 +660,15 @@ mod tests {
     #[test]
     fn stored_instructions_tracks_fragmentation() {
         let mut tc = small_cache();
-        tc.fill(seg(0, 16));
-        tc.fill(seg(1, 8));
+        fill(&mut tc, &seg(0, 16));
+        fill(&mut tc, &seg(1, 8));
         assert_eq!(tc.stored_instructions(), 24);
     }
 }
 
 #[cfg(test)]
 mod path_assoc_tests {
+    use super::tests::fill;
     use super::*;
     use crate::segment::{SegEndReason, SegmentInst};
     use tc_isa::{Cond, Instr, Reg};
@@ -672,8 +718,8 @@ mod path_assoc_tests {
             path_assoc: true,
         };
         let mut tc = TraceCache::new(cfg);
-        tc.fill(seg_with_branch(0x10, true));
-        tc.fill(seg_with_branch(0x10, false));
+        fill(&mut tc, &seg_with_branch(0x10, true));
+        fill(&mut tc, &seg_with_branch(0x10, false));
         assert_eq!(tc.resident(), 2, "both paths coexist");
         // lookup_best selects by prediction.
         let taken_hit = tc.lookup_best(Addr::new(0x10), &[true]).expect("hit");
@@ -689,8 +735,8 @@ mod path_assoc_tests {
             ways: 4,
             path_assoc: false,
         });
-        tc.fill(seg_with_branch(0x10, true));
-        tc.fill(seg_with_branch(0x10, false));
+        fill(&mut tc, &seg_with_branch(0x10, true));
+        fill(&mut tc, &seg_with_branch(0x10, false));
         assert_eq!(tc.resident(), 1);
         assert!(!tc.probe(Addr::new(0x10)).unwrap().insts()[1].taken);
     }
@@ -708,8 +754,8 @@ mod path_assoc_tests {
         let mut tc = TraceCache::new(cfg);
         // Both branches promoted: match_predictions consumes nothing, so
         // both candidates score (full=true, active=3) for any preds.
-        tc.fill(seg_with_branch_promoted(0x10, true, Some(true)));
-        tc.fill(seg_with_branch_promoted(0x10, false, Some(false)));
+        fill(&mut tc, &seg_with_branch_promoted(0x10, true, Some(true)));
+        fill(&mut tc, &seg_with_branch_promoted(0x10, false, Some(false)));
         assert_eq!(tc.resident(), 2, "distinct paths coexist");
         // The second fill is the more recently used.
         let hit = tc.lookup_best(Addr::new(0x10), &[true]).expect("hit");
@@ -727,9 +773,9 @@ mod path_assoc_tests {
             path_assoc: true,
         };
         let mut tc = TraceCache::new(cfg);
-        tc.fill(seg_with_branch(0x10, true));
-        tc.fill(seg_with_branch(0x10, false));
-        tc.fill(seg_with_branch(0x10, true)); // identical to the first
+        fill(&mut tc, &seg_with_branch(0x10, true));
+        fill(&mut tc, &seg_with_branch(0x10, false));
+        fill(&mut tc, &seg_with_branch(0x10, true)); // identical to the first
         assert_eq!(tc.resident(), 2);
         assert_eq!(tc.stats().duplicate_fills, 1);
     }
@@ -915,7 +961,13 @@ mod differential {
                 }
             })
             .collect();
-        TraceSegment::new(&insts, SegEndReason::MaxBranches)
+        // Two end reasons, so identical instructions can still differ.
+        let reason = if r.gen_bool(0.8) {
+            SegEndReason::MaxBranches
+        } else {
+            SegEndReason::Packed
+        };
+        TraceSegment::new(&insts, reason)
     }
 
     fn run(config: TraceCacheConfig, seed: u64, steps: usize) {
@@ -930,7 +982,11 @@ mod differential {
             match op {
                 0..=39 => {
                     let seg = arb_segment(&mut r);
-                    assert_eq!(tc.fill(seg.clone()), reference.fill(seg), "{at}: fill");
+                    assert_eq!(
+                        tc.fill(seg.insts(), seg.end_reason()),
+                        reference.fill(seg),
+                        "{at}: fill"
+                    );
                 }
                 40..=59 => assert_eq!(
                     tc.lookup(start).cloned(),

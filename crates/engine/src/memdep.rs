@@ -1,6 +1,32 @@
 //! Memory-dependence scheduling: conservative vs. perfect.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Hashes a word address with one multiply by a fixed odd constant (the
+/// 64-bit golden ratio) and a rotate that brings the well-mixed high
+/// product bits down to where the table takes its bucket index. Every
+/// load and store hashes an address, and the tracker is only read
+/// through keyed lookups and `retain`, so nothing depends on the
+/// iteration order a keyed hasher would randomize.
+#[derive(Debug, Clone, Copy, Default)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
 
 /// Tracks in-flight stores for load scheduling.
 ///
@@ -15,7 +41,7 @@ use std::collections::HashMap;
 #[derive(Debug, Clone, Default)]
 pub struct MemDepTracker {
     /// Completion time of the latest store to each word address.
-    store_done: HashMap<u64, u64>,
+    store_done: HashMap<u64, u64, BuildHasherDefault<AddrHasher>>,
     /// Latest address-generation time over all stores so far.
     last_addr_known: u64,
 }

@@ -167,6 +167,16 @@ impl BiasTable {
         }
     }
 
+    /// Forgets every branch's history and the promotion counters, as a
+    /// new table would, keeping the configuration and any attached
+    /// overrides.
+    pub fn reset(&mut self) {
+        self.entries.fill(None);
+        self.promotions = 0;
+        self.demotions = 0;
+        self.class_promotions = [0; 4];
+    }
+
     /// Attaches per-branch promotion overrides (a parsed `tw-plan/v1`
     /// plan). A branch with a [`PlanAction::Never`] override is never
     /// promoted; a [`PlanAction::Threshold`] override replaces the
@@ -209,8 +219,10 @@ impl BiasTable {
 
     /// Records the retirement of the conditional branch at `pc` with
     /// outcome `taken`, applying promotion/demotion rules. Returns the
-    /// promotion-state transition this update performed.
-    pub fn update(&mut self, pc: u64, taken: bool) -> BiasUpdate {
+    /// promotion-state transition this update performed and the
+    /// post-update decision — what [`BiasTable::decision`] would now
+    /// answer for `pc` — so the fill unit needs no second lookup.
+    pub fn update(&mut self, pc: u64, taken: bool) -> (BiasUpdate, BiasDecision) {
         let idx = self.index(pc);
         let tag = self.tag(pc);
         let counter_max = self.config.counter_max();
@@ -238,10 +250,12 @@ impl BiasTable {
                     count: 1,
                     promoted: None,
                 });
-                return match evicted_promoted {
+                // A fresh entry is never promoted (a miss demotes).
+                let transition = match evicted_promoted {
                     Some(victim) => BiasUpdate::EvictedPromoted(victim),
                     None => BiasUpdate::None,
                 };
+                return (transition, BiasDecision::Normal);
             }
         };
         if entry.dir == taken {
@@ -266,16 +280,21 @@ impl BiasTable {
             if let Some(o) = over {
                 self.class_promotions[o.class.index()] += 1;
             }
-            return if demoted {
+            let transition = if demoted {
                 BiasUpdate::DemotedThenPromoted(entry.dir)
             } else {
                 BiasUpdate::Promoted(entry.dir)
             };
+            return (transition, BiasDecision::Promote(entry.dir));
         }
+        let decision = match entry.promoted {
+            Some(dir) => BiasDecision::Promote(dir),
+            None => BiasDecision::Normal,
+        };
         if demoted {
-            BiasUpdate::Demoted
+            (BiasUpdate::Demoted, decision)
         } else {
-            BiasUpdate::None
+            (BiasUpdate::None, decision)
         }
     }
 
@@ -430,11 +449,11 @@ mod tests {
     fn update_reports_transitions() {
         let mut t = table(4);
         for _ in 0..3 {
-            assert_eq!(t.update(0x10, true), BiasUpdate::None);
+            assert_eq!(t.update(0x10, true).0, BiasUpdate::None);
         }
-        assert_eq!(t.update(0x10, true), BiasUpdate::Promoted(true));
-        assert_eq!(t.update(0x10, false), BiasUpdate::None, "single opposite");
-        assert_eq!(t.update(0x10, false), BiasUpdate::Demoted);
+        assert_eq!(t.update(0x10, true).0, BiasUpdate::Promoted(true));
+        assert_eq!(t.update(0x10, false).0, BiasUpdate::None, "single opposite");
+        assert_eq!(t.update(0x10, false).0, BiasUpdate::Demoted);
         assert_eq!(t.demotions(), 1);
     }
 
@@ -447,10 +466,13 @@ mod tests {
         // Same index (entries=64), different tag: the miss displaces the
         // promoted entry and reports its reconstructed address, without
         // touching the demotion counter.
-        assert_eq!(t.update(0x10 + 64, true), BiasUpdate::EvictedPromoted(0x10));
+        assert_eq!(
+            t.update(0x10 + 64, true).0,
+            BiasUpdate::EvictedPromoted(0x10)
+        );
         assert_eq!(t.demotions(), 0);
         // Displacing a *normal* entry is not a reportable transition.
-        assert_eq!(t.update(0x10 + 128, true), BiasUpdate::None);
+        assert_eq!(t.update(0x10 + 128, true).0, BiasUpdate::None);
     }
 
     #[test]
@@ -462,7 +484,7 @@ mod tests {
         // The second opposite outcome both demotes and re-crosses the
         // threshold in the new direction.
         assert_eq!(
-            t.update(0x10, false),
+            t.update(0x10, false).0,
             BiasUpdate::DemotedThenPromoted(false)
         );
         assert_eq!(t.decision(0x10), BiasDecision::Promote(false));
@@ -512,6 +534,31 @@ mod tests {
         assert_eq!(t.promotions(), 1);
         assert_eq!(t.class_promotions(), [1, 0, 0, 0]);
         assert_eq!(t.override_count(), 1);
+    }
+
+    /// The decision `update` returns is the one a fresh `decision` query
+    /// gives afterwards, across hits, misses, aliasing, promotions and
+    /// demotions, tagged and untagged.
+    #[test]
+    fn update_returns_the_post_update_decision() {
+        for tagged in [true, false] {
+            let mut t = BiasTable::new(BiasConfig {
+                entries: 16,
+                threshold: 3,
+                counter_bits: 4,
+                tagged,
+            });
+            let mut x = 0x2545_F491_4F6C_DD1D_u64;
+            for step in 0..20_000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let pc = (x >> 8) % 48;
+                let taken = x & 0xF != 0;
+                let (_, decision) = t.update(pc, taken);
+                assert_eq!(decision, t.decision(pc), "tagged {tagged}, step {step}");
+            }
+        }
     }
 
     #[test]

@@ -37,6 +37,13 @@ impl ReturnStack {
         }
     }
 
+    /// A finite stack of `depth` entries, or the ideal one for `None`
+    /// (the form configurations give the depth in).
+    #[must_use]
+    pub fn for_depth(depth: Option<usize>) -> ReturnStack {
+        depth.map_or_else(ReturnStack::ideal, ReturnStack::with_depth)
+    }
+
     /// Pushes a return address at a call.
     pub fn push(&mut self, return_addr: u64) {
         if let Some(d) = self.max_depth {

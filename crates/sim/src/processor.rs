@@ -123,16 +123,18 @@ pub struct Processor<T: Tracer = NoopTracer> {
     mem: MemoryHierarchy,
     injector: Option<FaultInjector>,
     fault: FaultStats,
-    /// Oracle look-ahead buffer, held as a field so repeated runs (and
-    /// repeated measurement windows) reuse the allocation instead of
-    /// rebuilding it per call.
+    /// The one record queue. Each record the interpreter produces
+    /// stays in place here until it retires: the first
+    /// `engine.occupancy()` records are in flight (issued, in program
+    /// order, so the engine's retire times line up with them), and the
+    /// rest are the oracle look-ahead. Held as a field so repeated runs
+    /// and measurement windows reuse the allocation.
     oracle: VecDeque<ExecRecord>,
-    /// In-flight instructions awaiting retirement; reused like
-    /// `oracle`.
-    retire_q: VecDeque<(u64, ExecRecord)>,
     /// Byte address → plan class index, present when a promotion plan
     /// is attached; used to attribute branch activity per class.
     plan_classes: Option<std::collections::HashMap<u64, usize>>,
+    /// Whether a run has left state behind for the next one to reset.
+    ran: bool,
 }
 
 impl Processor {
@@ -164,9 +166,9 @@ impl<T: Tracer> Processor<T> {
             injector: config.fault_plan.clone().map(FaultInjector::new),
             fault: FaultStats::default(),
             oracle: VecDeque::with_capacity(128),
-            retire_q: VecDeque::new(),
             plan_classes,
             config,
+            ran: false,
         }
     }
 
@@ -176,9 +178,15 @@ impl<T: Tracer> Processor<T> {
         self.front_end.tracer()
     }
 
+    /// Sets the [`ExecutionMode`] of the following runs.
+    pub fn set_mode(&mut self, mode: ExecutionMode) {
+        self.config.mode = mode;
+    }
+
     /// Runs the workload to its dynamic-instruction budget (or
     /// completion) and reports, honoring the configured
-    /// [`ExecutionMode`].
+    /// [`ExecutionMode`]. Each run starts from a new machine, so a
+    /// processor run again reports what a new processor would.
     pub fn run(&mut self, workload: &Workload) -> SimReport {
         self.run_from(workload, workload.machine())
     }
@@ -192,17 +200,16 @@ impl<T: Tracer> Processor<T> {
     /// `skip` counts stream *position*, so instructions the restored
     /// machine has already retired count toward it.
     pub fn run_from(&mut self, workload: &Workload, machine: Machine) -> SimReport {
+        if std::mem::replace(&mut self.ran, true) {
+            self.reset();
+        }
         let program = workload.program();
         let mut interp = Interpreter::with_machine(program, machine);
         self.oracle.clear();
-        self.retire_q.clear();
         let mut rs = RunState {
             c: Counters::default(),
             acct: CycleAccounting::default(),
-            ras_mirror: match self.config.front_end.ras_depth {
-                Some(depth) => ReturnStack::with_depth(depth),
-                None => ReturnStack::ideal(),
-            },
+            ras_mirror: ReturnStack::for_depth(self.config.front_end.ras_depth),
             cycle: 0,
             last_retire: 0,
             ended: false,
@@ -240,6 +247,17 @@ impl<T: Tracer> Processor<T> {
         self.report(workload, &rs.c, rs.acct, total_cycles, sampling)
     }
 
+    /// Returns the front end, engine, memory and fault injector to the
+    /// state [`Processor::with_tracer`] builds, keeping the tracer and
+    /// the record queue's allocation.
+    fn reset(&mut self) {
+        self.front_end.reset();
+        self.engine = ExecutionEngine::new(self.config.engine);
+        self.mem = MemoryHierarchy::new(self.config.hierarchy);
+        self.injector = self.config.fault_plan.clone().map(FaultInjector::new);
+        self.fault = FaultStats::default();
+    }
+
     /// Fast-forwards to stream position `skip` (counting instructions
     /// the machine has already retired), then times up to the
     /// configured budget.
@@ -256,7 +274,7 @@ impl<T: Tracer> Processor<T> {
         let mut skipped = 0;
         if want > 0 {
             let blocks = BlockCache::new(program);
-            skipped = skip_ahead(&mut self.oracle, interp, &blocks, want);
+            skipped = self.skip_ahead(interp, &blocks, want);
             if skipped < want {
                 rs.ended = true;
             }
@@ -301,7 +319,7 @@ impl<T: Tracer> Processor<T> {
             // --- Fast-forward portion ---
             let want = skip_per_window.min(total - consumed);
             if want > 0 {
-                let skipped = skip_ahead(&mut self.oracle, interp, &blocks, want);
+                let skipped = self.skip_ahead(interp, &blocks, want);
                 consumed += skipped;
                 stats.fast_forwarded += skipped;
                 if T::ENABLED {
@@ -374,6 +392,11 @@ impl<T: Tracer> Processor<T> {
         ras_mirror: &mut ReturnStack,
         want: u64,
     ) -> u64 {
+        debug_assert_eq!(
+            self.engine.occupancy(),
+            0,
+            "warming starts with an empty window"
+        );
         let mut done = 0u64;
         while done < want {
             // Not `refill`: warming needs no look-ahead, and copying each
@@ -403,18 +426,19 @@ impl<T: Tracer> Processor<T> {
         rs: &mut RunState,
         budget: u64,
     ) {
-        refill(&mut self.oracle, interp);
-        let Some(first) = self.oracle.front() else {
+        self.refill(interp);
+        let Some(first) = self.lookahead() else {
             rs.ended = true;
             return;
         };
         let mut pc = first.pc;
         let start = rs.c.issued;
         let (acct_start, cycle_start) = (rs.acct.total(), rs.cycle);
+        let mut bundle = FetchBundle::default();
 
         while rs.c.issued - start < budget {
-            refill(&mut self.oracle, interp);
-            if self.oracle.is_empty() {
+            self.refill(interp);
+            if self.lookahead().is_none() {
                 rs.ended = true;
                 break;
             }
@@ -425,11 +449,7 @@ impl<T: Tracer> Processor<T> {
                 self.apply_fault(draw);
             }
             // Retire-side work reaching the current cycle.
-            while self.retire_q.front().is_some_and(|(t, _)| *t <= rs.cycle) {
-                let (_, rec) = self.retire_q.pop_front().expect("checked");
-                self.front_end.retire(&rec);
-            }
-            self.engine.drain_retired(rs.cycle);
+            self.retire_to(rs.cycle);
             if !self.engine.has_room() {
                 let t = self
                     .engine
@@ -448,7 +468,8 @@ impl<T: Tracer> Processor<T> {
             }
 
             // --- Fetch ---
-            let bundle = self.front_end.fetch(pc, program, &mut self.mem);
+            self.front_end
+                .fetch_to(pc, program, &mut self.mem, &mut bundle);
             if bundle.icache_latency > 0 {
                 rs.acct.cache_misses += u64::from(bundle.icache_latency);
                 rs.cycle += u64::from(bundle.icache_latency);
@@ -459,7 +480,7 @@ impl<T: Tracer> Processor<T> {
             let mut f = FetchIssue::default();
             let mut upshot = FetchUpshot::Clean;
             for fi in bundle.active() {
-                let Some(front) = self.oracle.front() else {
+                let Some(front) = self.lookahead() else {
                     break;
                 };
                 if front.pc != fi.pc {
@@ -476,9 +497,7 @@ impl<T: Tracer> Processor<T> {
                     upshot = FetchUpshot::Misfetch;
                     break;
                 }
-                let rec = self.oracle.pop_front().expect("checked");
-                if let Some(done) =
-                    self.issue(rs, &mut f, rec, fetch_cycle, fi.promoted, fi.pred_taken)
+                if let Some(done) = self.issue(rs, &mut f, fetch_cycle, fi.promoted, fi.pred_taken)
                 {
                     upshot = FetchUpshot::Mispredict { done };
                     break;
@@ -492,7 +511,7 @@ impl<T: Tracer> Processor<T> {
                 match bundle.next_pc {
                     NextPc::Known(a) => resolved_next = Some(a),
                     NextPc::Return { predicted } => {
-                        let actual = self.oracle.front().map(|r| r.pc);
+                        let actual = self.lookahead().map(|r| r.pc);
                         if self.config.ideal_returns {
                             // Ideal RAS: the architectural target.
                             resolved_next = actual;
@@ -521,7 +540,7 @@ impl<T: Tracer> Processor<T> {
                         predicted,
                     } => {
                         rs.c.indirect_executed += 1;
-                        let actual = self.oracle.front().map(|r| r.pc);
+                        let actual = self.lookahead().map(|r| r.pc);
                         if let Some(actual) = actual {
                             self.front_end.train_indirect(ind_pc, actual);
                             match predicted {
@@ -550,7 +569,7 @@ impl<T: Tracer> Processor<T> {
             // --- Salvage inactive issue on a misprediction ---
             if matches!(upshot, FetchUpshot::Mispredict { .. }) {
                 for fi in bundle.inactive() {
-                    let Some(front) = self.oracle.front() else {
+                    let Some(front) = self.lookahead() else {
                         break;
                     };
                     if front.pc != fi.pc || fi.pred_taken.is_some_and(|dir| dir != front.taken) {
@@ -558,8 +577,8 @@ impl<T: Tracer> Processor<T> {
                     }
                     // The direction check above means no salvaged branch
                     // is mispredicted: issue it as predicted correctly.
-                    let rec = self.oracle.pop_front().expect("checked");
-                    self.issue(rs, &mut f, rec, fetch_cycle, fi.promoted, Some(rec.taken));
+                    let taken = front.taken;
+                    self.issue(rs, &mut f, fetch_cycle, fi.promoted, Some(taken));
                 }
                 rs.c.salvaged += (f.issued - validated) as u64;
             }
@@ -626,7 +645,7 @@ impl<T: Tracer> Processor<T> {
                     rs.acct.useful_fetch += 1;
                     rs.acct.misfetches += MISFETCH_PENALTY;
                     rs.cycle += 1 + MISFETCH_PENALTY;
-                    match resolved_next.or_else(|| self.oracle.front().map(|r| r.pc)) {
+                    match resolved_next.or_else(|| self.lookahead().map(|r| r.pc)) {
                         Some(next) => pc = next,
                         None => {
                             rs.ended = true;
@@ -658,7 +677,7 @@ impl<T: Tracer> Processor<T> {
                     self.front_end.restore_ras(&rs.ras_mirror);
 
                     rs.cycle = redirect.max(fetch_cycle + 1);
-                    match self.oracle.front().map(|r| r.pc) {
+                    match self.lookahead().map(|r| r.pc) {
                         Some(next) => {
                             if T::ENABLED {
                                 self.front_end.tracer_mut().emit(TraceEvent::Repair {
@@ -683,30 +702,30 @@ impl<T: Tracer> Processor<T> {
         );
     }
 
-    /// Issues `rec`, a correct-path instruction of the current fetch, and
-    /// does its per-record bookkeeping: retire queue, committed-RAS
-    /// mirror, branch counters and the fetch's outcome lists. `promoted`
-    /// says whether the fetch carried it as a promoted branch; `predicted`
-    /// is the direction the front end assumed for a conditional branch.
+    /// Issues the first look-ahead record, a correct-path instruction of
+    /// the current fetch, which thereby joins the in-flight records in
+    /// place, and does its per-record bookkeeping: committed-RAS mirror,
+    /// branch counters and the fetch's outcome lists. `promoted` says
+    /// whether the fetch carried it as a promoted branch; `predicted` is
+    /// the direction the front end assumed for a conditional branch.
     /// Returns the branch's completion cycle when that direction was wrong.
     #[inline(always)]
     fn issue(
         &mut self,
         rs: &mut RunState,
         f: &mut FetchIssue,
-        rec: ExecRecord,
         fetch_cycle: u64,
         promoted: bool,
         predicted: Option<bool>,
     ) -> Option<u64> {
-        let times = self.engine.issue(&rec, fetch_cycle, &mut self.mem);
-        self.retire_q.push_back((times.retire, rec));
+        let rec = &self.oracle[self.engine.occupancy()];
+        let times = self.engine.issue(rec, fetch_cycle, &mut self.mem);
         rs.last_retire = rs.last_retire.max(times.retire);
         rs.c.issued += 1;
         f.issued += 1;
         f.last_times = Some(times);
         f.trap_fetched |= rec.control_kind() == ControlKind::Trap;
-        mirror_ras(&mut rs.ras_mirror, &rec);
+        mirror_ras(&mut rs.ras_mirror, rec);
         if !rec.is_cond_branch() {
             return None;
         }
@@ -747,15 +766,65 @@ impl<T: Tracer> Processor<T> {
         Some(times.done)
     }
 
+    /// Retires, in program order, the in-flight records whose retire
+    /// time has reached `cycle`: the engine says how many, and they are
+    /// the first records of the queue.
+    fn retire_to(&mut self, cycle: u64) {
+        let n = self.engine.drain_retired(cycle);
+        if n > 0 {
+            for rec in self.oracle.range(..n) {
+                self.front_end.retire(rec);
+            }
+            self.oracle.drain(..n);
+        }
+    }
+
     /// Retires everything in flight with the clock at `cycle`, which
     /// must bound every pending retire time. Draining to such a bound
     /// empties the window without advancing the engine clocks past it.
     fn drain_to(&mut self, cycle: u64) {
         self.front_end.set_cycle(cycle);
-        while let Some((_, rec)) = self.retire_q.pop_front() {
-            self.front_end.retire(&rec);
+        self.retire_to(cycle);
+        debug_assert_eq!(
+            self.engine.occupancy(),
+            0,
+            "the drain bound left records in flight"
+        );
+    }
+
+    /// The next correct-path record to issue: the first one past the
+    /// in-flight records.
+    #[inline(always)]
+    fn lookahead(&self) -> Option<&ExecRecord> {
+        self.oracle.get(self.engine.occupancy())
+    }
+
+    /// Tops the look-ahead (the records past the in-flight ones) up to
+    /// 64 records.
+    fn refill(&mut self, interp: &mut Interpreter<'_>) {
+        let want = self.engine.occupancy() + 64;
+        while self.oracle.len() < want {
+            match interp.next() {
+                Some(rec) => self.oracle.push_back(rec),
+                None => break,
+            }
         }
-        self.engine.drain_retired(cycle);
+    }
+
+    /// Advances the stream by up to `want` instructions with no timing
+    /// and no warming: drains already-materialized look-ahead records
+    /// first, then fast-forwards the interpreter through the predecoded
+    /// block cache. Returns the instructions consumed (short only when
+    /// the stream ends).
+    fn skip_ahead(&mut self, interp: &mut Interpreter<'_>, blocks: &BlockCache, want: u64) -> u64 {
+        debug_assert_eq!(
+            self.engine.occupancy(),
+            0,
+            "skipping starts with an empty window"
+        );
+        let from_buffer = (self.oracle.len() as u64).min(want);
+        self.oracle.drain(..from_buffer as usize);
+        from_buffer + interp.fast_forward(blocks, want - from_buffer)
     }
 
     /// Simulates wrong-path fetching between a misprediction and its
@@ -895,30 +964,6 @@ fn predicted_target(next: NextPc) -> Option<Addr> {
         NextPc::Known(a) => Some(a),
         NextPc::Return { predicted } | NextPc::Indirect { predicted, .. } => predicted,
     }
-}
-
-fn refill(oracle: &mut VecDeque<ExecRecord>, interp: &mut Interpreter<'_>) {
-    while oracle.len() < 64 {
-        match interp.next() {
-            Some(rec) => oracle.push_back(rec),
-            None => break,
-        }
-    }
-}
-
-/// Advances the stream by up to `want` instructions with no timing and
-/// no warming: drains already-materialized oracle records first, then
-/// fast-forwards the interpreter through the predecoded block cache.
-/// Returns the instructions consumed (short only when the stream ends).
-fn skip_ahead(
-    oracle: &mut VecDeque<ExecRecord>,
-    interp: &mut Interpreter<'_>,
-    blocks: &BlockCache,
-    want: u64,
-) -> u64 {
-    let from_buffer = (oracle.len() as u64).min(want);
-    oracle.drain(..from_buffer as usize);
-    from_buffer + interp.fast_forward(blocks, want - from_buffer)
 }
 
 #[cfg(test)]

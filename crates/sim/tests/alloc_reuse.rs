@@ -4,9 +4,9 @@
 //! A counting global allocator wraps `System` and the single test in
 //! this binary (one test, so no concurrent tests pollute the counter)
 //! asserts that heap allocations do **not** scale with instruction
-//! count: the oracle and retire queues live on the `Processor` and are
-//! refilled in place, records are moved by value, and the sampled
-//! warm-up path touches no per-instruction heap. Quadrupling the
+//! count: the record queue lives on the `Processor` and is refilled in
+//! place, records stay in it from the oracle to retirement, and the
+//! sampled warm-up path touches no per-instruction heap. Quadrupling the
 //! instruction budget must leave the allocation count within a small
 //! constant of the shorter run, in full-timing and sampled mode alike.
 
@@ -63,9 +63,9 @@ fn run_loop_allocations_do_not_scale_with_instruction_count() {
 
     // Full timing: the 40k run issues 4x the instructions of the 10k
     // run through fetch, refill, the engine, and retirement. The only
-    // extra allocations allowed are amortized buffer growth (oracle /
-    // retire-queue capacity, trace-cache fill paths reaching their
-    // final shape) — a small constant, not a per-instruction cost.
+    // extra allocations allowed are amortized buffer growth (record
+    // queue capacity, trace-cache fill paths reaching their final
+    // shape) — a small constant, not a per-instruction cost.
     let short = allocations_for(&config, 10_000);
     let long = allocations_for(&config, 40_000);
     let growth = long.saturating_sub(short);
@@ -88,10 +88,10 @@ fn run_loop_allocations_do_not_scale_with_instruction_count() {
          {short} at 10k insts vs {long} at 40k insts (+{growth})"
     );
 
-    // Re-running on the same processor must reuse the oracle and
-    // retire-queue buffers: the second run may allocate only the
-    // per-run constant (report strings, RAS mirror), far below a fresh
-    // processor's construction cost.
+    // Re-running on the same processor must reuse the record queue:
+    // the second run may allocate only a per-run constant (report
+    // strings, RAS mirror, and the predictor, cache and trace-cache
+    // tables of the new machine a re-run starts from).
     let workload = Benchmark::Compress.build();
     let mut processor = Processor::new(config.with_max_insts(20_000));
     let _ = processor.run(&workload);

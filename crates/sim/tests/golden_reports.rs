@@ -180,3 +180,59 @@ golden_wide! {
     go_headline_tc64_100k, "go-headline-tc64";
     compress_headline_faults_100k, "compress-headline-faults";
 }
+
+/// Fixtures for the execution modes the full-timing fixtures above do
+/// not reach, by file stem: sampled simulation on the paper's machine
+/// and on the i-cache machine (fast-forward, functional warm-up and the
+/// pipeline drain between windows), and a fast-forward followed by a
+/// timed region. They were captured from the release `tw` binary with
+/// the flags noted beside each configuration, before the oracle and
+/// retire queues were merged into one record queue.
+fn mode_config(stem: &str) -> (WorkloadId, SimConfig) {
+    let headline = SimConfig::headline_perf();
+    let (bench, config): (WorkloadId, SimConfig) = match stem {
+        // tw sim --bench gcc --config headline --insts 400000
+        //   --sample 2000/100000 --warmup 8000 --json
+        "gcc-headline-sampled-400k" => (
+            Benchmark::Gcc.into(),
+            headline
+                .with_sampling(8_000, 2_000, 100_000)
+                .with_max_insts(400_000),
+        ),
+        // tw sim --bench perl --config headline --insts 100000
+        //   --fast-forward 200000 --json
+        "perl-headline-ff200k-100k" => (
+            Benchmark::Perl.into(),
+            headline.with_fast_forward(200_000).with_max_insts(100_000),
+        ),
+        // tw sim --bench rv/qsort --config icache --insts 300000
+        //   --sample 2000/25000 --warmup 4000 --json
+        "rv-qsort-icache-sampled-300k" => (
+            RvBench::Qsort.into(),
+            SimConfig::icache()
+                .with_sampling(4_000, 2_000, 25_000)
+                .with_max_insts(300_000),
+        ),
+        _ => unreachable!("no mode fixture {stem}"),
+    };
+    let max_insts = config.max_insts;
+    (bench, capture_config(config, max_insts))
+}
+
+macro_rules! golden_modes {
+    ($($name:ident, $stem:literal;)*) => {
+        $(
+            #[test]
+            fn $name() {
+                let (bench, config) = mode_config($stem);
+                check(bench, $stem, config, include_str!(concat!("golden/", $stem, ".json")));
+            }
+        )*
+    };
+}
+
+golden_modes! {
+    gcc_headline_sampled_400k, "gcc-headline-sampled-400k";
+    perl_headline_ff200k_100k, "perl-headline-ff200k-100k";
+    rv_qsort_icache_sampled_300k, "rv-qsort-icache-sampled-300k";
+}

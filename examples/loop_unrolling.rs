@@ -46,9 +46,9 @@ fn main() {
         let mut promoted_per_seg = Vec::new();
         for rec in Interpreter::new(&program, 64).take(2_000) {
             fill.retire(&rec);
-            while let Some(seg) = fill.pop_segment() {
-                seg_lens.push(seg.len());
-                promoted_per_seg.push(seg.promoted_count());
+            for (insts, _) in fill.finalized() {
+                seg_lens.push(insts.len());
+                promoted_per_seg.push(insts.iter().filter(|i| i.promoted.is_some()).count());
             }
         }
         let late = &seg_lens[seg_lens.len().saturating_sub(8)..];

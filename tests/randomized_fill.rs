@@ -7,7 +7,7 @@
 //! (`trace_weave::workloads::rng`), so every run explores the same cases
 //! and failures are reproducible from the reported seed.
 
-use trace_weave::core::{FillUnit, PackingPolicy};
+use trace_weave::core::{FillUnit, PackingPolicy, TraceSegment};
 use trace_weave::isa::{Addr, Cond, ExecRecord, Instr, Reg};
 use trace_weave::predict::{BiasConfig, BiasTable};
 use trace_weave::workloads::rng::{Rng, Xoshiro256PlusPlus};
@@ -119,8 +119,9 @@ fn segments_partition_the_retire_stream() {
             let mut rebuilt: Vec<(u32, bool)> = Vec::new();
             for rec in &stream {
                 fill.retire(rec);
-                while let Some(seg) = fill.pop_segment() {
+                for (insts, reason) in fill.finalized() {
                     // Structural limits.
+                    let seg = TraceSegment::new(insts, reason);
                     assert!(!seg.is_empty() && seg.len() <= 16, "case {case}");
                     assert!(seg.dynamic_branch_count() <= 3, "case {case}");
                     for si in seg.insts() {
@@ -157,8 +158,8 @@ fn segments_are_logically_contiguous() {
         let mut fill = FillUnit::new(PackingPolicy::Unregulated, None);
         for rec in &stream {
             fill.retire(rec);
-            while let Some(seg) = fill.pop_segment() {
-                for pair in seg.insts().windows(2) {
+            for (insts, _) in fill.finalized() {
+                for pair in insts.windows(2) {
                     assert_eq!(
                         pair[0].embedded_next(),
                         pair[1].pc,
