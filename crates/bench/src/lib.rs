@@ -11,15 +11,11 @@
 //!   tw paper fig10 --insts 2000000 --jobs 8
 //!   ```
 //!
-//! * [`micro`] — a dependency-free microbenchmark harness backing the
-//!   `benches/` targets (the workspace builds offline, so Criterion is
-//!   not available);
 //! * [`suite`] and [`compare`] — the benchmark × configuration
 //!   wall-clock matrix behind `tw bench` and its artifact diff.
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod compare;
-pub mod micro;
 pub mod paper;
 pub mod suite;

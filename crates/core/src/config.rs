@@ -52,10 +52,6 @@ pub struct FrontEndConfig {
     pub promotion: Option<PromotionConfig>,
     /// Predictor structure.
     pub predictor: PredictorChoice,
-    /// Maximum instructions per fetch (16 in the paper).
-    pub fetch_width: usize,
-    /// Indirect-target predictor entries.
-    pub indirect_entries: usize,
     /// Partial matching (Friendly et al., used by the paper's baseline):
     /// a trace line whose path diverges from the predictions still
     /// supplies its matching prefix. Disabled, a diverging line supplies
@@ -65,7 +61,8 @@ pub struct FrontEndConfig {
     /// off-path blocks of a trace line issue anyway and are salvaged if
     /// the prediction proves wrong.
     pub inactive_issue: bool,
-    /// Return-address-stack depth; `None` models the paper's ideal RAS.
+    /// Return-address-stack depth; `None` models the paper's ideal RAS,
+    /// whose returns always reach their architectural target.
     pub ras_depth: Option<usize>,
     /// Runtime invariant sanitizer ([`crate::Sanitizer`]): validates
     /// segment structure at fill time and on trace-cache hits, emitting
@@ -84,8 +81,6 @@ impl FrontEndConfig {
             packing: PackingPolicy::Atomic,
             promotion: None,
             predictor: PredictorChoice::Hybrid,
-            fetch_width: 16,
-            indirect_entries: 1024,
             partial_matching: true,
             inactive_issue: true,
             ras_depth: None,

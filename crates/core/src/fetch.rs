@@ -7,7 +7,7 @@ use tc_predict::{
     BiasTable, GlobalHistory, HybridPrediction, HybridPredictor, IndirectPredictor, MultiPredictor,
     ReturnStack, SplitMultiPredictor,
 };
-use tc_trace::{FaultLocus, NoopTracer, TraceEvent, Tracer};
+use tc_trace::{FaultLocus, FetchOrigin, NoopTracer, TraceEvent, Tracer};
 
 use crate::config::{FrontEndConfig, PredictorChoice};
 use crate::fill::FillUnit;
@@ -16,15 +16,6 @@ use crate::sanitize::{CheckSite, Sanitizer};
 use crate::segment::{SegmentInst, MAX_SEGMENT_BRANCHES};
 use crate::stats::{FetchStats, TerminationReason, MAX_FETCH};
 use crate::trace_cache::TraceCache;
-
-/// Where a fetch was serviced from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FetchSource {
-    /// The trace cache supplied a segment.
-    TraceCache,
-    /// The instruction cache supplied one fetch block.
-    ICache,
-}
 
 /// One instruction delivered by a fetch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,9 +56,9 @@ impl Default for FetchedInst {
 pub enum NextPc {
     /// A concrete predicted address.
     Known(Addr),
-    /// The fetch ended with a return; the paper models an ideal RAS, so
-    /// the driver substitutes the architectural target. The front end's
-    /// own RAS prediction is included for ablation.
+    /// The fetch ended with a return. With the paper's ideal RAS (no
+    /// `ras_depth`) the driver substitutes the architectural target;
+    /// with a finite one it checks this prediction.
     Return {
         /// The RAS's prediction, if the stack was non-empty.
         predicted: Option<Addr>,
@@ -109,7 +100,7 @@ pub struct FetchBundle {
     /// Length of the active prefix.
     pub active_len: usize,
     /// Where the fetch was serviced.
-    pub source: FetchSource,
+    pub source: FetchOrigin,
     /// Termination category before misprediction overrides.
     pub base_reason: TerminationReason,
     /// Dynamic predictions consumed.
@@ -131,7 +122,7 @@ impl Default for FetchBundle {
             fetch_pc: Addr::new(0),
             insts: InlineVec::new(),
             active_len: 0,
-            source: FetchSource::ICache,
+            source: FetchOrigin::ICache,
             base_reason: TerminationReason::ICache,
             predictions_used: 0,
             icache_latency: 0,
@@ -164,7 +155,7 @@ impl FetchBundle {
 /// [`FetchBundle`] but the fetch address and the instructions.
 struct FetchHead {
     active_len: usize,
-    source: FetchSource,
+    source: FetchOrigin,
     base_reason: TerminationReason,
     predictions_used: usize,
     icache_latency: u32,
@@ -277,17 +268,6 @@ impl FrontEnd {
     pub fn new(config: FrontEndConfig) -> FrontEnd {
         FrontEnd::with_tracer(config, NoopTracer)
     }
-
-    /// Builds a front end whose fill unit promotes branches *statically*
-    /// from a profile (§4's alternative to the bias table). The
-    /// configuration's dynamic `promotion` field is ignored.
-    #[must_use]
-    pub fn with_static_promotion(
-        config: FrontEndConfig,
-        table: crate::promote::StaticPromotionTable,
-    ) -> FrontEnd {
-        FrontEnd::with_static_promotion_and_tracer(config, table, NoopTracer)
-    }
 }
 
 impl<T: Tracer> FrontEnd<T> {
@@ -301,7 +281,10 @@ impl<T: Tracer> FrontEnd<T> {
         FrontEnd::with_fill(config, fill, tracer)
     }
 
-    /// [`FrontEnd::with_static_promotion`] with an attached tracer.
+    /// Builds a front end whose fill unit promotes branches *statically*
+    /// from a profile (§4's alternative to the bias table), reporting
+    /// events to `tracer`. The configuration's dynamic `promotion` field
+    /// is ignored.
     #[must_use]
     pub fn with_static_promotion_and_tracer(
         config: FrontEndConfig,
@@ -315,10 +298,6 @@ impl<T: Tracer> FrontEnd<T> {
     }
 
     fn with_fill(config: FrontEndConfig, fill: Option<FillUnit>, tracer: T) -> FrontEnd<T> {
-        assert!(
-            config.fetch_width <= MAX_FETCH,
-            "fetch_width exceeds the bundle's inline capacity"
-        );
         FrontEnd {
             config,
             trace_cache: config.trace_cache.map(|c| Box::new(TraceCache::new(c))),
@@ -326,7 +305,7 @@ impl<T: Tracer> FrontEnd<T> {
             predictor: Predictor::new(config.predictor),
             history: GlobalHistory::new(),
             ras: ReturnStack::for_depth(config.ras_depth),
-            indirect: IndirectPredictor::new(config.indirect_entries),
+            indirect: IndirectPredictor::default_size(),
             stats: FetchStats::new(),
             sanitizer: Sanitizer::new(config.sanitize),
             quarantine: QuarantineStats::default(),
@@ -348,7 +327,7 @@ impl<T: Tracer> FrontEnd<T> {
         self.predictor = Predictor::new(self.config.predictor);
         self.history = GlobalHistory::new();
         self.ras = ReturnStack::for_depth(self.config.ras_depth);
-        self.indirect = IndirectPredictor::new(self.config.indirect_entries);
+        self.indirect = IndirectPredictor::default_size();
         self.stats = FetchStats::new();
         self.sanitizer = Sanitizer::new(self.config.sanitize);
         self.quarantine = QuarantineStats::default();
@@ -932,7 +911,7 @@ impl<T: Tracer> FrontEnd<T> {
         };
         FetchHead {
             active_len,
-            source: FetchSource::TraceCache,
+            source: FetchOrigin::TraceCache,
             base_reason,
             predictions_used: used,
             icache_latency: 0,
@@ -968,7 +947,7 @@ impl<T: Tracer> FrontEnd<T> {
         let next_pc;
 
         loop {
-            if delivered == self.config.fetch_width {
+            if delivered == MAX_FETCH {
                 reason = TerminationReason::MaxSize;
                 next_pc = NextPc::Known(cur);
                 break;
@@ -1055,7 +1034,7 @@ impl<T: Tracer> FrontEnd<T> {
 
         FetchHead {
             active_len: delivered,
-            source: FetchSource::ICache,
+            source: FetchOrigin::ICache,
             base_reason: reason,
             predictions_used: used,
             icache_latency: latency,
@@ -1185,7 +1164,7 @@ mod tests {
         let mut fe = FrontEnd::new(FrontEndConfig::baseline());
         let mut m = mem();
         let bundle = fe.fetch(Addr::new(0), &program, &mut m);
-        assert_eq!(bundle.source, FetchSource::ICache);
+        assert_eq!(bundle.source, FetchOrigin::ICache);
         assert_eq!(bundle.insts.len(), 16);
         assert_eq!(bundle.base_reason, TerminationReason::MaxSize);
         assert!(matches!(bundle.next_pc, NextPc::Known(a) if a == Addr::new(16)));
@@ -1260,7 +1239,7 @@ mod tests {
             mem_addr: None,
         });
         let bundle = fe.fetch(Addr::new(0), &program, &mut m);
-        assert_eq!(bundle.source, FetchSource::TraceCache);
+        assert_eq!(bundle.source, FetchOrigin::TraceCache);
         assert_eq!(bundle.insts.len(), 5);
         assert_eq!(bundle.base_reason, TerminationReason::RetIndTrap);
         assert!(matches!(bundle.next_pc, NextPc::Return { .. }));
@@ -1306,7 +1285,7 @@ mod tests {
         });
         // Fresh predictor predicts not-taken; the segment embeds taken.
         let bundle = fe.fetch(Addr::new(0), &program, &mut m);
-        assert_eq!(bundle.source, FetchSource::TraceCache);
+        assert_eq!(bundle.source, FetchOrigin::TraceCache);
         assert_eq!(bundle.base_reason, TerminationReason::PartialMatch);
         assert_eq!(bundle.active_len, 2, "nop + divergent branch stay active");
         assert!(
@@ -1333,7 +1312,7 @@ mod tests {
             });
         }
         let bundle = fe.fetch(Addr::new(0), &program, &mut m);
-        assert_eq!(bundle.source, FetchSource::ICache);
+        assert_eq!(bundle.source, FetchOrigin::ICache);
         assert!(fe.trace_cache().is_none());
     }
 
@@ -1458,7 +1437,7 @@ mod path_assoc_hybrid_tests {
         );
 
         let bundle = fe.fetch(Addr::new(0), &program, &mut mem);
-        assert_eq!(bundle.source, FetchSource::TraceCache);
+        assert_eq!(bundle.source, FetchOrigin::TraceCache);
         assert_eq!(
             bundle.insts[1].pred_taken,
             Some(true),
@@ -1538,7 +1517,7 @@ mod issue_mode_tests {
         };
         let (mut fe, program, mut mem) = two_block_frontend(config);
         let bundle = fe.fetch(Addr::new(0), &program, &mut mem);
-        assert_eq!(bundle.source, FetchSource::TraceCache);
+        assert_eq!(bundle.source, FetchOrigin::TraceCache);
         assert_eq!(bundle.active_len, 2, "first block only: nop + branch");
         // Next follows the branch's *prediction* (not taken -> pc 2).
         assert!(matches!(bundle.next_pc, NextPc::Known(a) if a == Addr::new(2)));

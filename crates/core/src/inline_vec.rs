@@ -3,7 +3,7 @@
 //! The steady-state simulation loop traffics exclusively in small,
 //! statically bounded collections: trace segments hold at most
 //! [`MAX_SEGMENT_INSTS`](crate::MAX_SEGMENT_INSTS) instructions, a fetch
-//! bundle at most `fetch_width`, and a prediction group at most
+//! bundle at most the fetch width (16), and a prediction group at most
 //! [`MAX_SEGMENT_BRANCHES`](crate::MAX_SEGMENT_BRANCHES) directions.
 //! [`InlineVec`] keeps those collections on the stack (or inline in their
 //! owning struct) so the fetch/fill hot path performs no heap allocation.

@@ -40,9 +40,7 @@ mod stats;
 mod trace_cache;
 
 pub use config::{FrontEndConfig, PredictorChoice, PromotionConfig};
-pub use fetch::{
-    FetchBundle, FetchSource, FetchStep, FetchedInst, FrontEnd, NextPc, QuarantineStats,
-};
+pub use fetch::{FetchBundle, FetchStep, FetchedInst, FrontEnd, NextPc, QuarantineStats};
 pub use fill::{FillStats, FillUnit, PackingPolicy};
 pub use inline_vec::InlineVec;
 pub use promote::StaticPromotionTable;
@@ -54,4 +52,5 @@ pub use segment::{
     SegEndReason, SegmentInst, TraceSegment, MAX_SEGMENT_BRANCHES, MAX_SEGMENT_INSTS,
 };
 pub use stats::{FetchStats, TerminationReason};
+pub use tc_trace::FetchOrigin;
 pub use trace_cache::{FillOutcome, TraceCache, TraceCacheConfig, TraceCacheStats};

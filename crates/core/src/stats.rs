@@ -84,7 +84,8 @@ impl From<SegEndReason> for TerminationReason {
     }
 }
 
-/// Maximum fetch size tracked by the histogram.
+/// The fetch width: at most 16 instructions per fetch, as in the paper.
+/// Also the largest size the histogram tracks.
 pub const MAX_FETCH: usize = 16;
 
 /// Per-front-end fetch statistics.

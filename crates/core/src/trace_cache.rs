@@ -210,11 +210,6 @@ impl TraceCache {
         &self.stats
     }
 
-    /// Resets statistics (e.g. after warm-up), keeping contents.
-    pub fn reset_stats(&mut self) {
-        self.stats = TraceCacheStats::default();
-    }
-
     fn set_index(&self, start: Addr) -> usize {
         start.index() & self.set_mask
     }

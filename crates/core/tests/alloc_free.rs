@@ -13,7 +13,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use tc_cache::{HierarchyConfig, MemoryHierarchy};
-use tc_core::{FetchSource, FrontEnd, FrontEndConfig};
+use tc_core::{FetchOrigin, FrontEnd, FrontEndConfig};
 use tc_isa::{Addr, Cond, ExecRecord, Program, ProgramBuilder, Reg};
 
 struct CountingAlloc;
@@ -67,7 +67,7 @@ fn steady_cycle(
     mem: &mut MemoryHierarchy,
     history_snapshot: u64,
     ras_snapshot: &tc_predict::ReturnStack,
-) -> FetchSource {
+) -> FetchOrigin {
     let bundle = fe.fetch(Addr::new(0), program, mem);
     let outcomes: [bool; 1] = [true];
     fe.train(&bundle.pred, &outcomes[..bundle.predictions_used.min(1)]);
@@ -111,14 +111,14 @@ fn steady_state_tc_hit_fetch_cycle_is_allocation_free() {
     }
     assert_eq!(
         steady_cycle(&mut fe, &program, &mut mem, history_snapshot, &ras_snapshot,),
-        FetchSource::TraceCache,
+        FetchOrigin::TraceCache,
         "warm-up must reach trace-cache hits before measuring"
     );
 
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     for _ in 0..256 {
         let source = steady_cycle(&mut fe, &program, &mut mem, history_snapshot, &ras_snapshot);
-        assert_eq!(source, FetchSource::TraceCache, "cycle must stay a TC hit");
+        assert_eq!(source, FetchOrigin::TraceCache, "cycle must stay a TC hit");
     }
     let allocations = ALLOCATIONS.load(Ordering::SeqCst) - before;
     assert_eq!(

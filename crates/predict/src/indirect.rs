@@ -34,7 +34,7 @@ impl IndirectPredictor {
         }
     }
 
-    /// A reasonable default size (1K entries).
+    /// The front end's size: 1K entries.
     #[must_use]
     pub fn default_size() -> IndirectPredictor {
         IndirectPredictor::new(1024)

@@ -44,15 +44,6 @@ pub enum ExecutionMode {
     },
 }
 
-impl ExecutionMode {
-    /// Whether this mode times every instruction (the golden-fixture
-    /// configuration).
-    #[must_use]
-    pub fn is_full_timing(self) -> bool {
-        self == ExecutionMode::FullTiming
-    }
-}
-
 /// Complete machine + run configuration.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
@@ -65,16 +56,9 @@ pub struct SimConfig {
     /// Dynamic-instruction budget (the paper ran 41M–500M; scaled runs
     /// default to 2M).
     pub max_insts: u64,
-    /// Model wrong-path fetches during misprediction shadows (cache and
-    /// LRU pollution).
-    pub model_wrong_path: bool,
     /// Static (profile-guided) promotion table; replaces the dynamic
     /// bias table when set (§4's static-promotion alternative).
     pub static_promotion: Option<StaticPromotionTable>,
-    /// Treat return targets as ideally predicted (the paper's model).
-    /// Disabled, returns predict through the finite/ideal RAS and can
-    /// mispredict.
-    pub ideal_returns: bool,
     /// Deterministic fault-injection plan; `None` (the default) leaves
     /// every fault path untouched and keeps reports bit-identical to a
     /// plain run.
@@ -99,9 +83,7 @@ impl SimConfig {
             engine: EngineConfig::paper_realistic(),
             hierarchy,
             max_insts: DEFAULT_MAX_INSTS,
-            model_wrong_path: true,
             static_promotion: None,
-            ideal_returns: true,
             fault_plan: None,
             mode: ExecutionMode::FullTiming,
             promotion_plan: None,
@@ -192,13 +174,6 @@ impl SimConfig {
         self
     }
 
-    /// Disables wrong-path modeling (faster, slightly optimistic).
-    #[must_use]
-    pub fn without_wrong_path(mut self) -> SimConfig {
-        self.model_wrong_path = false;
-        self
-    }
-
     /// Replaces dynamic promotion with a static (profile-guided) table.
     #[must_use]
     pub fn with_static_promotion(mut self, table: StaticPromotionTable) -> SimConfig {
@@ -208,11 +183,11 @@ impl SimConfig {
     }
 
     /// Uses a finite return-address stack and real return prediction
-    /// instead of the paper's ideal RAS.
+    /// instead of the paper's ideal RAS (returns are ideal exactly when
+    /// `front_end.ras_depth` is `None`).
     #[must_use]
     pub fn with_finite_ras(mut self, depth: usize) -> SimConfig {
         self.front_end.ras_depth = Some(depth);
-        self.ideal_returns = false;
         self
     }
 

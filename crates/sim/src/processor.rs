@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 
 use tc_cache::MemoryHierarchy;
 use tc_core::{
-    FetchBundle, FetchSource, FrontEnd, InlineVec, NextPc, TerminationReason, MAX_SEGMENT_BRANCHES,
+    FetchBundle, FrontEnd, InlineVec, NextPc, TerminationReason, MAX_SEGMENT_BRANCHES,
     MAX_SEGMENT_INSTS,
 };
 use tc_engine::{ExecutionEngine, IssueTimes};
@@ -48,19 +48,20 @@ struct Counters {
 }
 
 impl Counters {
-    /// Attributes one conditional-branch execution to its plan class.
+    /// Attributes one conditional-branch execution to its plan class;
+    /// a `wrong` promoted branch is a promoted fault.
     fn record_class(
         &mut self,
         classes: Option<&std::collections::HashMap<u64, usize>>,
         pc: Addr,
         promoted: bool,
-        faulted: bool,
+        wrong: bool,
     ) {
         let Some(&ci) = classes.and_then(|m| m.get(&pc.byte_addr())) else {
             return;
         };
         self.class_execs[ci] += 1;
-        if faulted {
+        if promoted && wrong {
             self.class_faults[ci] += 1;
         } else if promoted {
             self.class_promoted[ci] += 1;
@@ -69,20 +70,27 @@ impl Counters {
 }
 
 /// What went wrong with a fetch, if anything.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 enum FetchUpshot {
     /// Everything on the predicted path.
+    #[default]
     Clean,
-    /// A conditional branch (or promoted fault, or indirect target)
+    /// A conditional branch, promoted fault, return or indirect target
     /// was mispredicted; resolution completes at `done`.
     Mispredict { done: u64 },
-    /// An indirect branch had no prediction: short bubble.
+    /// A return or indirect branch had no predicted target (or, under
+    /// fault injection, the active path left the correct path): short
+    /// bubble.
     Misfetch,
 }
 
-/// What the issue path accumulates over one fetch.
+/// One fetch as the issue path sees it: when it issues, what its
+/// instructions did, and how it ended.
 #[derive(Debug, Default)]
 struct FetchIssue {
+    /// The cycle its instructions issue in.
+    cycle: u64,
+    upshot: FetchUpshot,
     /// Actual directions of the non-promoted conditional branches, for
     /// predictor training. A fetch carries at most three, and at most
     /// sixteen instructions, so both lists live on the stack.
@@ -280,12 +288,7 @@ impl<T: Tracer> Processor<T> {
             }
         }
         stats.fast_forwarded = already + skipped;
-        if T::ENABLED {
-            self.front_end.tracer_mut().emit(TraceEvent::ModeBoundary {
-                phase: ExecPhase::FastForward,
-                insts: stats.fast_forwarded,
-            });
-        }
+        self.mode_boundary(ExecPhase::FastForward, stats.fast_forwarded);
         if !rs.ended {
             self.run_timing(program, interp, rs, self.config.max_insts);
         }
@@ -322,12 +325,7 @@ impl<T: Tracer> Processor<T> {
                 let skipped = self.skip_ahead(interp, &blocks, want);
                 consumed += skipped;
                 stats.fast_forwarded += skipped;
-                if T::ENABLED {
-                    self.front_end.tracer_mut().emit(TraceEvent::ModeBoundary {
-                        phase: ExecPhase::FastForward,
-                        insts: skipped,
-                    });
-                }
+                self.mode_boundary(ExecPhase::FastForward, skipped);
                 if skipped < want {
                     break;
                 }
@@ -338,12 +336,7 @@ impl<T: Tracer> Processor<T> {
                 let warmed = self.warm_up(interp, &mut rs.ras_mirror, want);
                 consumed += warmed;
                 stats.warmed += warmed;
-                if T::ENABLED {
-                    self.front_end.tracer_mut().emit(TraceEvent::ModeBoundary {
-                        phase: ExecPhase::Warmup,
-                        insts: warmed,
-                    });
-                }
+                self.mode_boundary(ExecPhase::Warmup, warmed);
                 if warmed < want {
                     break;
                 }
@@ -359,12 +352,7 @@ impl<T: Tracer> Processor<T> {
             let measured = rs.c.issued - before;
             consumed += measured;
             stats.windows += 1;
-            if T::ENABLED {
-                self.front_end.tracer_mut().emit(TraceEvent::ModeBoundary {
-                    phase: ExecPhase::Measure,
-                    insts: measured,
-                });
-            }
+            self.mode_boundary(ExecPhase::Measure, measured);
             if !rs.ended {
                 // The pipeline drains across the (long) skipped region
                 // before the next window attaches. `rs.cycle` has been
@@ -414,11 +402,10 @@ impl<T: Tracer> Processor<T> {
         done
     }
 
-    /// The timing loop: issues up to `budget` correct-path instructions
-    /// through the full front-end + engine model, starting from the
-    /// oracle's current stream position. Sets `rs.ended` when the
-    /// stream runs out. With `budget == max_insts` on a fresh
-    /// [`RunState`] this is bit-identical to the pre-mode simulator.
+    /// The timing loop: one [`Processor::tick`] per cycle, from the
+    /// oracle's current stream position, until `budget` more
+    /// correct-path instructions have issued or the stream runs out
+    /// (which sets `rs.ended`).
     fn run_timing(
         &mut self,
         program: &Program,
@@ -426,275 +413,19 @@ impl<T: Tracer> Processor<T> {
         rs: &mut RunState,
         budget: u64,
     ) {
-        self.refill(interp);
-        let Some(first) = self.lookahead() else {
-            rs.ended = true;
-            return;
-        };
-        let mut pc = first.pc;
         let start = rs.c.issued;
         let (acct_start, cycle_start) = (rs.acct.total(), rs.cycle);
         let mut bundle = FetchBundle::default();
-
-        while rs.c.issued - start < budget {
-            self.refill(interp);
-            if self.lookahead().is_none() {
-                rs.ended = true;
+        self.refill(interp);
+        let mut next = self.correct_pc();
+        while let Some(pc) = next {
+            if rs.c.issued - start >= budget {
                 break;
             }
-            self.front_end.set_cycle(rs.cycle);
-            // Scheduled fault injection for this cycle.
-            let draw = self.injector.as_mut().and_then(|inj| inj.poll(rs.cycle));
-            if let Some(draw) = draw {
-                self.apply_fault(draw);
-            }
-            // Retire-side work reaching the current cycle.
-            self.retire_to(rs.cycle);
-            if !self.engine.has_room() {
-                let t = self
-                    .engine
-                    .earliest_retire()
-                    .expect("full window is non-empty");
-                let wait = t.saturating_sub(rs.cycle).max(1);
-                if T::ENABLED {
-                    self.front_end.tracer_mut().emit(TraceEvent::WindowStall {
-                        wait: wait as u32,
-                        occupancy: self.engine.occupancy() as u32,
-                    });
-                }
-                rs.acct.full_window += wait;
-                rs.cycle += wait;
-                continue;
-            }
-
-            // --- Fetch ---
-            self.front_end
-                .fetch_to(pc, program, &mut self.mem, &mut bundle);
-            if bundle.icache_latency > 0 {
-                rs.acct.cache_misses += u64::from(bundle.icache_latency);
-                rs.cycle += u64::from(bundle.icache_latency);
-            }
-            let fetch_cycle = rs.cycle;
-
-            // --- Validate the active portion against the oracle ---
-            let mut f = FetchIssue::default();
-            let mut upshot = FetchUpshot::Clean;
-            for fi in bundle.active() {
-                let Some(front) = self.lookahead() else {
-                    break;
-                };
-                if front.pc != fi.pc {
-                    // The predicted path silently left the correct path —
-                    // impossible with consistent segments, so under fault
-                    // injection this is a corruption that escaped the
-                    // sanitizer; count it and resync as a misfetch.
-                    if self.injector.is_some() {
-                        self.fault.escaped += 1;
-                        self.fault.detected += 1;
-                    } else {
-                        debug_assert!(false, "active path diverged without a branch mispredict");
-                    }
-                    upshot = FetchUpshot::Misfetch;
-                    break;
-                }
-                if let Some(done) = self.issue(rs, &mut f, fetch_cycle, fi.promoted, fi.pred_taken)
-                {
-                    upshot = FetchUpshot::Mispredict { done };
-                    break;
-                }
-            }
-            let validated = f.issued;
-
-            // --- Next-PC resolution (when the path was clean) ---
-            let mut resolved_next: Option<Addr> = None;
-            if matches!(upshot, FetchUpshot::Clean) {
-                match bundle.next_pc {
-                    NextPc::Known(a) => resolved_next = Some(a),
-                    NextPc::Return { predicted } => {
-                        let actual = self.lookahead().map(|r| r.pc);
-                        if self.config.ideal_returns {
-                            // Ideal RAS: the architectural target.
-                            resolved_next = actual;
-                        } else if let Some(actual) = actual {
-                            resolved_next = Some(actual);
-                            match predicted {
-                                Some(p) if p == actual => {}
-                                Some(_) => {
-                                    rs.c.return_mispredicts += 1;
-                                    if T::ENABLED {
-                                        self.front_end.tracer_mut().emit(
-                                            TraceEvent::ReturnMispredict {
-                                                pc: bundle.fetch_pc,
-                                            },
-                                        );
-                                    }
-                                    let done = f.last_times.map_or(fetch_cycle + 1, |t| t.done);
-                                    upshot = FetchUpshot::Mispredict { done };
-                                }
-                                None => upshot = FetchUpshot::Misfetch,
-                            }
-                        }
-                    }
-                    NextPc::Indirect {
-                        pc: ind_pc,
-                        predicted,
-                    } => {
-                        rs.c.indirect_executed += 1;
-                        let actual = self.lookahead().map(|r| r.pc);
-                        if let Some(actual) = actual {
-                            self.front_end.train_indirect(ind_pc, actual);
-                            match predicted {
-                                Some(p) if p == actual => resolved_next = Some(actual),
-                                Some(_) => {
-                                    rs.c.indirect_mispredicts += 1;
-                                    if T::ENABLED {
-                                        self.front_end
-                                            .tracer_mut()
-                                            .emit(TraceEvent::IndirectMispredict { pc: ind_pc });
-                                    }
-                                    let done = f.last_times.map_or(fetch_cycle + 1, |t| t.done);
-                                    upshot = FetchUpshot::Mispredict { done };
-                                    resolved_next = Some(actual);
-                                }
-                                None => {
-                                    upshot = FetchUpshot::Misfetch;
-                                    resolved_next = Some(actual);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-
-            // --- Salvage inactive issue on a misprediction ---
-            if matches!(upshot, FetchUpshot::Mispredict { .. }) {
-                for fi in bundle.inactive() {
-                    let Some(front) = self.lookahead() else {
-                        break;
-                    };
-                    if front.pc != fi.pc || fi.pred_taken.is_some_and(|dir| dir != front.taken) {
-                        break;
-                    }
-                    // The direction check above means no salvaged branch
-                    // is mispredicted: issue it as predicted correctly.
-                    let taken = front.taken;
-                    self.issue(rs, &mut f, fetch_cycle, fi.promoted, Some(taken));
-                }
-                rs.c.salvaged += (f.issued - validated) as u64;
-            }
-
-            // --- Stats + training ---
-            let reason = if matches!(upshot, FetchUpshot::Mispredict { .. }) {
-                TerminationReason::MispredBr
-            } else {
-                bundle.base_reason
-            };
-            let size = f.issued;
-            {
-                let stats = self.front_end.stats_mut();
-                stats.record_fetch(reason, size, bundle.predictions_used);
-                match bundle.source {
-                    FetchSource::TraceCache => stats.tc_fetches += 1,
-                    FetchSource::ICache => stats.icache_fetches += 1,
-                }
-                stats.promoted_fetched += f.promoted;
-            }
-            if T::ENABLED {
-                self.front_end.tracer_mut().emit(TraceEvent::Fetch {
-                    pc: bundle.fetch_pc,
-                    size: size as u8,
-                    source: match bundle.source {
-                        FetchSource::TraceCache => FetchOrigin::TraceCache,
-                        FetchSource::ICache => FetchOrigin::ICache,
-                    },
-                    cond_branches: f.outcomes.len() as u8,
-                    promoted: f.promoted as u8,
-                    mispredicted: matches!(upshot, FetchUpshot::Mispredict { .. }),
-                });
-            }
-            self.front_end.train(&bundle.pred, &f.outcomes);
-
-            // --- Advance ---
-            match upshot {
-                FetchUpshot::Clean => {
-                    rs.acct.useful_fetch += 1;
-                    rs.cycle += 1;
-                    if f.trap_fetched {
-                        // Serializing: fetch stalls until the trap
-                        // retires.
-                        let trap_retire = f.last_times.map_or(rs.cycle, |t| t.retire);
-                        if trap_retire > rs.cycle {
-                            rs.acct.traps += trap_retire - rs.cycle;
-                            rs.cycle = trap_retire;
-                        }
-                    }
-                    match resolved_next {
-                        Some(next) => pc = next,
-                        None => {
-                            rs.ended = true;
-                            break;
-                        }
-                    }
-                }
-                FetchUpshot::Misfetch => {
-                    if T::ENABLED {
-                        self.front_end.tracer_mut().emit(TraceEvent::Misfetch {
-                            pc: bundle.fetch_pc,
-                        });
-                    }
-                    rs.acct.useful_fetch += 1;
-                    rs.acct.misfetches += MISFETCH_PENALTY;
-                    rs.cycle += 1 + MISFETCH_PENALTY;
-                    match resolved_next.or_else(|| self.lookahead().map(|r| r.pc)) {
-                        Some(next) => pc = next,
-                        None => {
-                            rs.ended = true;
-                            break;
-                        }
-                    }
-                }
-                FetchUpshot::Mispredict { done } => {
-                    rs.acct.useful_fetch += 1;
-                    let redirect = done + 1;
-                    rs.c.resolution_cycles += done.saturating_sub(fetch_cycle);
-                    rs.c.resolution_events += 1;
-                    let lost = redirect.saturating_sub(fetch_cycle + 1);
-                    rs.acct.branch_misses += lost;
-
-                    // Wrong-path fetching during the shadow: pollutes the
-                    // caches and LRU state, then all speculative
-                    // predictor state is repaired.
-                    if self.config.model_wrong_path && lost > 0 {
-                        self.run_wrong_path(&bundle, program, fetch_cycle, redirect);
-                    }
-                    // Repair: history snapshot + replay of actual
-                    // outcomes; RAS from the committed mirror.
-                    self.front_end
-                        .restore_history(bundle.pred.history.snapshot());
-                    for &t in &f.history_replay {
-                        self.front_end.push_history(t);
-                    }
-                    self.front_end.restore_ras(&rs.ras_mirror);
-
-                    rs.cycle = redirect.max(fetch_cycle + 1);
-                    match self.lookahead().map(|r| r.pc) {
-                        Some(next) => {
-                            if T::ENABLED {
-                                self.front_end.tracer_mut().emit(TraceEvent::Repair {
-                                    redirect_pc: next,
-                                    lost: lost as u32,
-                                });
-                            }
-                            pc = next;
-                        }
-                        None => {
-                            rs.ended = true;
-                            break;
-                        }
-                    }
-                }
-            }
+            self.refill(interp);
+            next = self.tick(program, rs, &mut bundle, pc);
         }
+        rs.ended = next.is_none();
         debug_assert_eq!(
             rs.acct.total() - acct_start,
             rs.cycle - cycle_start,
@@ -702,24 +433,272 @@ impl<T: Tracer> Processor<T> {
         );
     }
 
+    /// One cycle of the front end, fetching at `pc`: the stages in
+    /// order. Returns the next fetch PC — the known target after a clean
+    /// fetch, otherwise the PC of the next correct-path record, read
+    /// after salvage — or `None` once the stream has run out.
+    #[inline(always)]
+    fn tick(
+        &mut self,
+        program: &Program,
+        rs: &mut RunState,
+        bundle: &mut FetchBundle,
+        pc: Addr,
+    ) -> Option<Addr> {
+        self.lookahead()?;
+        if !self.start_cycle(rs) {
+            return Some(pc);
+        }
+        let mut f = self.fetch(program, rs, bundle, pc);
+        self.issue_fetch(rs, bundle, &mut f);
+        self.record(bundle, &f);
+        self.advance(program, rs, bundle, &f);
+        match (f.upshot, bundle.next_pc) {
+            (FetchUpshot::Clean, NextPc::Known(target)) => Some(target),
+            _ => self.correct_pc(),
+        }
+    }
+
+    /// Starts a cycle: injects the fault scheduled for it, retires what
+    /// has completed, and stalls the clock while the window is full.
+    /// Returns whether fetch proceeds this cycle.
+    #[inline(always)]
+    fn start_cycle(&mut self, rs: &mut RunState) -> bool {
+        self.front_end.set_cycle(rs.cycle);
+        if let Some(draw) = self.injector.as_mut().and_then(|inj| inj.poll(rs.cycle)) {
+            self.apply_fault(draw);
+        }
+        self.retire_to(rs.cycle);
+        if self.engine.has_room() {
+            return true;
+        }
+        let t = self
+            .engine
+            .earliest_retire()
+            .expect("full window is non-empty");
+        let wait = t.saturating_sub(rs.cycle).max(1);
+        self.trace(TraceEvent::WindowStall {
+            wait: wait as u32,
+            occupancy: self.engine.occupancy() as u32,
+        });
+        rs.acct.full_window += wait;
+        rs.cycle += wait;
+        false
+    }
+
+    /// Fetches at `pc` into `bundle` and charges an i-cache miss to the
+    /// clock. Returns the fetch's issue record, opened at the cycle its
+    /// instructions issue in.
+    #[inline(always)]
+    fn fetch(
+        &mut self,
+        program: &Program,
+        rs: &mut RunState,
+        bundle: &mut FetchBundle,
+        pc: Addr,
+    ) -> FetchIssue {
+        self.front_end.fetch_to(pc, program, &mut self.mem, bundle);
+        let latency = u64::from(bundle.icache_latency);
+        rs.acct.cache_misses += latency;
+        rs.cycle += latency;
+        FetchIssue {
+            cycle: rs.cycle,
+            ..FetchIssue::default()
+        }
+    }
+
+    /// Issues the fetch: its active instructions while they stay on the
+    /// correct path, then — when they all held — the check of its return
+    /// or indirect target. On a misprediction it salvages the inactive
+    /// instructions that happen to lie on the correct path.
+    #[inline(always)]
+    fn issue_fetch(&mut self, rs: &mut RunState, bundle: &FetchBundle, f: &mut FetchIssue) {
+        for fi in bundle.active() {
+            let Some(front) = self.lookahead() else {
+                break;
+            };
+            if front.pc != fi.pc {
+                // The predicted path silently left the correct path —
+                // impossible with consistent segments, so under fault
+                // injection this is a corruption that escaped the
+                // sanitizer; count it and resync as a misfetch.
+                if self.injector.is_some() {
+                    self.fault.escaped += 1;
+                    self.fault.detected += 1;
+                } else {
+                    debug_assert!(false, "active path diverged without a branch mispredict");
+                }
+                f.upshot = FetchUpshot::Misfetch;
+                return;
+            }
+            if let Some(done) = self.issue(rs, f, fi.promoted, fi.pred_taken) {
+                f.upshot = FetchUpshot::Mispredict { done };
+                break;
+            }
+        }
+        if let FetchUpshot::Clean = f.upshot {
+            let done = f.last_times.map_or(f.cycle + 1, |t| t.done);
+            f.upshot = self.check_target(rs, bundle, done);
+        }
+        if let FetchUpshot::Mispredict { .. } = f.upshot {
+            let validated = f.issued;
+            for fi in bundle.inactive() {
+                let Some(front) = self.lookahead() else {
+                    break;
+                };
+                if front.pc != fi.pc || fi.pred_taken.is_some_and(|dir| dir != front.taken) {
+                    break;
+                }
+                // The direction check above means no salvaged branch
+                // is mispredicted: issue it as predicted correctly.
+                let taken = front.taken;
+                self.issue(rs, f, fi.promoted, Some(taken));
+            }
+            rs.c.salvaged += (f.issued - validated) as u64;
+        }
+    }
+
+    /// Checks the return or indirect target a fetch ended on against
+    /// the next correct-path record, and trains the indirect predictor
+    /// with the actual target; a wrong target resolves at `done`. Returns
+    /// are ideal (always clean) when the configuration gives no
+    /// return-stack depth.
+    #[inline(always)]
+    fn check_target(&mut self, rs: &mut RunState, bundle: &FetchBundle, done: u64) -> FetchUpshot {
+        let (predicted, indirect_pc) = match bundle.next_pc {
+            NextPc::Known(_) => return FetchUpshot::Clean,
+            NextPc::Return { .. } if self.config.front_end.ras_depth.is_none() => {
+                return FetchUpshot::Clean;
+            }
+            NextPc::Return { predicted } => (predicted, None),
+            NextPc::Indirect { pc, predicted } => {
+                rs.c.indirect_executed += 1;
+                (predicted, Some(pc))
+            }
+        };
+        let Some(actual) = self.correct_pc() else {
+            return FetchUpshot::Clean;
+        };
+        if let Some(pc) = indirect_pc {
+            self.front_end.train_indirect(pc, actual);
+        }
+        match predicted {
+            Some(p) if p == actual => return FetchUpshot::Clean,
+            None => return FetchUpshot::Misfetch,
+            Some(_) => {}
+        }
+        let event = if let Some(pc) = indirect_pc {
+            rs.c.indirect_mispredicts += 1;
+            TraceEvent::IndirectMispredict { pc }
+        } else {
+            rs.c.return_mispredicts += 1;
+            TraceEvent::ReturnMispredict {
+                pc: bundle.fetch_pc,
+            }
+        };
+        self.trace(event);
+        FetchUpshot::Mispredict { done }
+    }
+
+    /// Records the fetch: its statistics, its `Fetch` event, and the
+    /// predictor training with the actual directions.
+    #[inline(always)]
+    fn record(&mut self, bundle: &FetchBundle, f: &FetchIssue) {
+        let mispredicted = matches!(f.upshot, FetchUpshot::Mispredict { .. });
+        let reason = if mispredicted {
+            TerminationReason::MispredBr
+        } else {
+            bundle.base_reason
+        };
+        let stats = self.front_end.stats_mut();
+        stats.record_fetch(reason, f.issued, bundle.predictions_used);
+        match bundle.source {
+            FetchOrigin::TraceCache => stats.tc_fetches += 1,
+            FetchOrigin::ICache => stats.icache_fetches += 1,
+        }
+        stats.promoted_fetched += f.promoted;
+        self.trace(TraceEvent::Fetch {
+            pc: bundle.fetch_pc,
+            size: f.issued as u8,
+            source: bundle.source,
+            cond_branches: f.outcomes.len() as u8,
+            promoted: f.promoted as u8,
+            mispredicted,
+        });
+        self.front_end.train(&bundle.pred, &f.outcomes);
+    }
+
+    /// Advances the clock past the fetch: one cycle, plus the stall
+    /// until a fetched trap retires, the misfetch bubble, or the
+    /// misprediction shadow — fetching down the wrong path through it,
+    /// then repairing the speculative history and return stack.
+    #[inline(always)]
+    fn advance(
+        &mut self,
+        program: &Program,
+        rs: &mut RunState,
+        bundle: &FetchBundle,
+        f: &FetchIssue,
+    ) {
+        rs.acct.useful_fetch += 1;
+        match f.upshot {
+            FetchUpshot::Clean => {
+                rs.cycle += 1;
+                // A trap serializes: fetch stalls until it retires.
+                let trap_retire = f.last_times.map_or(rs.cycle, |t| t.retire);
+                if f.trap_fetched && trap_retire > rs.cycle {
+                    rs.acct.traps += trap_retire - rs.cycle;
+                    rs.cycle = trap_retire;
+                }
+            }
+            FetchUpshot::Misfetch => {
+                self.trace(TraceEvent::Misfetch {
+                    pc: bundle.fetch_pc,
+                });
+                rs.acct.misfetches += MISFETCH_PENALTY;
+                rs.cycle += 1 + MISFETCH_PENALTY;
+            }
+            FetchUpshot::Mispredict { done } => {
+                let redirect = done + 1;
+                rs.c.resolution_cycles += done.saturating_sub(f.cycle);
+                rs.c.resolution_events += 1;
+                let lost = redirect.saturating_sub(f.cycle + 1);
+                rs.acct.branch_misses += lost;
+                self.run_wrong_path(bundle, program, f.cycle, redirect);
+                // Repair: history snapshot + replay of actual outcomes;
+                // RAS from the committed mirror.
+                self.front_end
+                    .restore_history(bundle.pred.history.snapshot());
+                for &t in &f.history_replay {
+                    self.front_end.push_history(t);
+                }
+                self.front_end.restore_ras(&rs.ras_mirror);
+                rs.cycle = redirect.max(f.cycle + 1);
+                if let Some(redirect_pc) = self.correct_pc() {
+                    let lost = lost as u32;
+                    self.trace(TraceEvent::Repair { redirect_pc, lost });
+                }
+            }
+        }
+    }
+
     /// Issues the first look-ahead record, a correct-path instruction of
-    /// the current fetch, which thereby joins the in-flight records in
-    /// place, and does its per-record bookkeeping: committed-RAS mirror,
-    /// branch counters and the fetch's outcome lists. `promoted` says
-    /// whether the fetch carried it as a promoted branch; `predicted` is
-    /// the direction the front end assumed for a conditional branch.
-    /// Returns the branch's completion cycle when that direction was wrong.
+    /// fetch `f`, which thereby joins the in-flight records in place, and
+    /// does its per-record bookkeeping: committed-RAS mirror, branch
+    /// counters and the fetch's outcome lists. `promoted` says whether
+    /// the fetch carried it as a promoted branch; `predicted` is the
+    /// direction the front end assumed for a conditional branch. Returns
+    /// the branch's completion cycle when that direction was wrong.
     #[inline(always)]
     fn issue(
         &mut self,
         rs: &mut RunState,
         f: &mut FetchIssue,
-        fetch_cycle: u64,
         promoted: bool,
         predicted: Option<bool>,
     ) -> Option<u64> {
         let rec = &self.oracle[self.engine.occupancy()];
-        let times = self.engine.issue(rec, fetch_cycle, &mut self.mem);
+        let times = self.engine.issue(rec, f.cycle, &mut self.mem);
         rs.last_retire = rs.last_retire.max(times.retire);
         rs.c.issued += 1;
         f.issued += 1;
@@ -734,12 +713,7 @@ impl<T: Tracer> Processor<T> {
         // branch; a missing one is possible only downstream of an escaped
         // corruption — treat it as a mispredict rather than panicking.
         let wrong = predicted != Some(rec.taken);
-        rs.c.record_class(
-            self.plan_classes.as_ref(),
-            rec.pc,
-            promoted,
-            promoted && wrong,
-        );
+        rs.c.record_class(self.plan_classes.as_ref(), rec.pc, promoted, wrong);
         let event = if promoted {
             f.promoted += 1;
             if !wrong {
@@ -760,9 +734,7 @@ impl<T: Tracer> Processor<T> {
                 taken: rec.taken,
             }
         };
-        if T::ENABLED {
-            self.front_end.tracer_mut().emit(event);
-        }
+        self.trace(event);
         Some(times.done)
     }
 
@@ -799,6 +771,27 @@ impl<T: Tracer> Processor<T> {
         self.oracle.get(self.engine.occupancy())
     }
 
+    /// The PC of the next correct-path record, `None` once the stream
+    /// has run out.
+    #[inline(always)]
+    fn correct_pc(&self) -> Option<Addr> {
+        self.lookahead().map(|r| r.pc)
+    }
+
+    /// Reports the end of an execution-mode phase of `insts` instructions.
+    fn mode_boundary(&mut self, phase: ExecPhase, insts: u64) {
+        self.trace(TraceEvent::ModeBoundary { phase, insts });
+    }
+
+    /// Reports `event` to the tracer; with a disabled tracer the call
+    /// and the event's construction compile away.
+    #[inline(always)]
+    fn trace(&mut self, event: TraceEvent) {
+        if T::ENABLED {
+            self.front_end.tracer_mut().emit(event);
+        }
+    }
+
     /// Tops the look-ahead (the records past the in-flight ones) up to
     /// 64 records.
     fn refill(&mut self, interp: &mut Interpreter<'_>) {
@@ -829,6 +822,7 @@ impl<T: Tracer> Processor<T> {
 
     /// Simulates wrong-path fetching between a misprediction and its
     /// resolution: cache and LRU pollution only (no issue, no training).
+    /// A misprediction that resolves within the cycle casts no shadow.
     fn run_wrong_path(
         &mut self,
         bundle: &FetchBundle,

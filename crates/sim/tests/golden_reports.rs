@@ -18,7 +18,7 @@
 
 use tc_core::TraceCacheConfig;
 use tc_sim::harness::report_to_json;
-use tc_sim::{simulate, FaultPlan, SimConfig};
+use tc_sim::{simulate, FaultLocus, FaultPlan, SimConfig};
 use tc_workloads::{Benchmark, RvBench, WorkloadId};
 
 /// Instruction budget the preset fixtures were captured at.
@@ -138,10 +138,14 @@ const WIDE_INSTS: u64 = 100_000;
 /// Fixtures for paths the preset fixtures above miss, by file stem: the
 /// i-cache machine (wrong-path fetch through the i-cache), a
 /// path-associative trace cache, an eviction-heavy 64-entry trace
-/// cache, and fault injection (which forces the sanitizer on). They
+/// cache, fault injection (which forces the sanitizer on), and a
+/// two-entry return stack under return-stack faults (return
+/// misfetches and return mispredicts: a drop-oldest stack only ever
+/// runs empty, so wrong return targets need a clobbered entry). They
 /// were captured from this function's configurations, at
-/// [`WIDE_INSTS`], before the trace cache and the cache tag stores were
-/// restructured.
+/// [`WIDE_INSTS`], before the code each one guards was restructured:
+/// the trace cache and the cache tag stores, and for the return-stack
+/// fixture the timing loop's target check.
 fn wide_config(stem: &str) -> (WorkloadId, SimConfig) {
     let headline = SimConfig::headline_perf();
     let (bench, config): (WorkloadId, SimConfig) = match stem {
@@ -156,6 +160,11 @@ fn wide_config(stem: &str) -> (WorkloadId, SimConfig) {
             let config = capture_config(headline, WIDE_INSTS);
             let faults = config.with_fault_plan(FaultPlan::with_rate(1, 1e-2));
             return (Benchmark::Compress.into(), faults);
+        }
+        "li-baseline-ras2-faults" => {
+            let config = capture_config(SimConfig::baseline().with_finite_ras(2), WIDE_INSTS);
+            let faults = FaultPlan::with_rate(1, 1e-2).targeting(&[FaultLocus::Ras]);
+            return (Benchmark::Li.into(), config.with_fault_plan(faults));
         }
         _ => unreachable!("no wide fixture {stem}"),
     };
@@ -179,6 +188,7 @@ golden_wide! {
     gcc_headline_passoc_100k, "gcc-headline-passoc";
     go_headline_tc64_100k, "go-headline-tc64";
     compress_headline_faults_100k, "compress-headline-faults";
+    li_baseline_ras2_faults_100k, "li-baseline-ras2-faults";
 }
 
 /// Fixtures for the execution modes the full-timing fixtures above do

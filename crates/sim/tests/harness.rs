@@ -293,14 +293,14 @@ fn json_optional_sections_track_config() {
 
 // --- invariant sanitizer ----------------------------------------------
 
-/// In test builds the sanitizer defaults to on; a healthy simulation
-/// validates every fill and trace-cache hit without a single violation.
+/// With the sanitizer on (set explicitly, so the test checks the same
+/// thing in every build profile), a healthy simulation validates every
+/// fill and trace-cache hit without a single violation.
 #[test]
 fn sanitizer_runs_clean_on_a_real_workload() {
-    let report = simulate(
-        Benchmark::Compress,
-        &SimConfig::baseline().with_max_insts(30_000),
-    );
+    let mut config = SimConfig::baseline().with_max_insts(30_000);
+    config.front_end.sanitize = true;
+    let report = simulate(Benchmark::Compress, &config);
     assert!(report.sanitizer.enabled, "sanitizer is on in debug builds");
     assert!(report.sanitizer.checked_fills > 0, "fills were validated");
     assert!(report.sanitizer.checked_hits > 0, "hits were validated");
@@ -312,10 +312,9 @@ fn sanitizer_runs_clean_on_a_real_workload() {
 /// warnings would show up here).
 #[test]
 fn sanitizer_runs_clean_with_promotion_and_packing() {
-    let report = simulate(
-        Benchmark::Li,
-        &SimConfig::headline_perf().with_max_insts(30_000),
-    );
+    let mut config = SimConfig::headline_perf().with_max_insts(30_000);
+    config.front_end.sanitize = true;
+    let report = simulate(Benchmark::Li, &config);
     assert!(report.sanitizer.checked_fills > 0);
     assert_eq!(report.sanitizer.errors, 0);
 }

@@ -95,8 +95,7 @@ impl DemotionCause {
     }
 }
 
-/// Where a validated fetch was serviced from (mirror of
-/// `tc_core::FetchSource`).
+/// Where a fetch was serviced from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FetchOrigin {
     /// The trace cache supplied a segment.

@@ -17,6 +17,12 @@ cargo build --release --offline --examples
 echo "==> cargo test -q"
 cargo test -q --offline --workspace
 
+echo "==> cargo test --release (harness)"
+# The harness tests again in the release profile, where debug assertions
+# and the debug-build sanitizer default are off: a test that leans on a
+# profile-dependent default fails here.
+cargo test --release --offline -q -p tc-sim --test harness
+
 echo "==> tw lint --all"
 target/release/tw lint --all
 
@@ -252,4 +258,4 @@ rm -f "$bad_asm" "$bench_artifact.trunc" "$bench_artifact.plan" "$bench_artifact
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "OK: build + tests + lint + bench smoke + twbench smoke + compare + paper smoke + trace smoke + faults smoke + fast-forward/checkpoint smoke + rv32i smoke + analyze/plan smoke + serve load smoke + chaos/crash-recovery smoke + error layer + formatting all clean"
+echo "OK: build + tests + release harness tests + lint + bench smoke + twbench smoke + compare + paper smoke + trace smoke + faults smoke + fast-forward/checkpoint smoke + rv32i smoke + analyze/plan smoke + serve load smoke + chaos/crash-recovery smoke + error layer + formatting all clean"
