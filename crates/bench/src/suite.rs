@@ -195,38 +195,20 @@ pub fn smoke_matrix() -> Vec<(WorkloadId, &'static str)> {
     ]
 }
 
-/// Runs one timed cell.
+/// Runs one timed cell, with `plan` (if any) attached to the
+/// configuration (the `tw bench --plan auto` path).
 ///
 /// # Panics
 ///
-/// Panics if `config_name` is not in the preset registry or `samples`
-/// is zero.
+/// Panics if `config_name` is not in the preset registry.
 #[must_use]
 pub fn run_cell<W: Into<WorkloadId>>(
     benchmark: W,
     config_name: &'static str,
     insts: u64,
     samples: u32,
-) -> BenchCell {
-    run_cell_planned(benchmark, config_name, insts, samples, None)
-}
-
-/// [`run_cell`] with an optional promotion plan attached to the
-/// configuration (the `tw bench --plan auto` path).
-///
-/// # Panics
-///
-/// Panics if `config_name` is not in the preset registry or `samples`
-/// is zero.
-#[must_use]
-pub fn run_cell_planned<W: Into<WorkloadId>>(
-    benchmark: W,
-    config_name: &'static str,
-    insts: u64,
-    samples: u32,
     plan: Option<&PromotionPlan>,
 ) -> BenchCell {
-    assert!(samples > 0, "at least one timed sample is required");
     let benchmark: WorkloadId = benchmark.into();
     let mut config: SimConfig = tc_sim::harness::lookup(config_name)
         .unwrap_or_else(|| panic!("unknown configuration preset {config_name:?}"))
@@ -234,33 +216,25 @@ pub fn run_cell_planned<W: Into<WorkloadId>>(
     if let Some(plan) = plan {
         config = config.with_promotion_plan(plan.clone());
     }
-    let workload = benchmark.build();
-    let mut best_ns = u64::MAX;
-    let mut report = None;
-    for _ in 0..samples {
-        let start = Instant::now();
-        let r = Processor::new(config.clone()).run(&workload);
-        let elapsed = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        best_ns = best_ns.min(elapsed.max(1));
-        report = Some(r);
-    }
-    let report = report.expect("samples > 0");
+    let (report, wall_ns) = timed_run(&config, &benchmark.build(), samples);
     BenchCell {
         benchmark: benchmark.name(),
         config: config_name,
         instructions: report.instructions,
         cycles: report.cycles,
-        wall_ns: best_ns,
+        wall_ns,
         stream_insts: report
             .sampling
             .as_ref()
             .map_or(report.instructions, |s| s.total_stream),
         fetch_rate: report.effective_fetch_rate(),
         mispredict_rate: report.cond_mispredict_rate(),
-        promo_coverage: promo_coverage(&report),
+        promo_coverage: report.promo_coverage(),
     }
 }
 
+/// Runs `samples` (at least one) repetitions of one simulation and
+/// returns the last report with the fastest wall time in nanoseconds.
 fn timed_run(
     config: &SimConfig,
     workload: &tc_workloads::Workload,
@@ -276,15 +250,6 @@ fn timed_run(
         report = Some(r);
     }
     (report.expect("samples >= 1"), best_ns)
-}
-
-fn promo_coverage(r: &SimReport) -> f64 {
-    let total = r.cond_branches + r.promoted_executed + r.promoted_faults;
-    if total == 0 {
-        0.0
-    } else {
-        r.promoted_executed as f64 / total as f64
-    }
 }
 
 /// Runs one preset's sampled-vs-full probe on [`Benchmark::Compress`]
@@ -319,8 +284,8 @@ pub fn run_probe(config_name: &'static str, insts: u64, samples: u32) -> Samplin
         sampled_fetch_rate: sampled.effective_fetch_rate(),
         full_mispredict_rate: full.cond_mispredict_rate(),
         sampled_mispredict_rate: sampled.cond_mispredict_rate(),
-        full_promo_coverage: promo_coverage(&full),
-        sampled_promo_coverage: promo_coverage(&sampled),
+        full_promo_coverage: full.promo_coverage(),
+        sampled_promo_coverage: sampled.promo_coverage(),
     }
 }
 
@@ -349,20 +314,10 @@ pub fn run_sampling_probes(
 }
 
 /// Runs a whole matrix, invoking `progress` after each finished cell.
+/// Each cell's configuration gets `plan_for(benchmark)` attached
+/// (`None` runs the cell plain). The provider is called once per cell,
+/// so memoize expensive plan construction per benchmark.
 pub fn run_suite(
-    matrix: &[(WorkloadId, &'static str)],
-    insts: u64,
-    samples: u32,
-    progress: impl FnMut(&BenchCell, usize, usize),
-) -> BenchSuite {
-    run_suite_planned(matrix, insts, samples, |_| None, progress)
-}
-
-/// [`run_suite`] with a per-benchmark promotion-plan provider: each
-/// cell's configuration gets `plan_for(benchmark)` attached (`None` runs
-/// the cell plain). The provider is called once per cell, so memoize
-/// expensive plan construction per benchmark.
-pub fn run_suite_planned(
     matrix: &[(WorkloadId, &'static str)],
     insts: u64,
     samples: u32,
@@ -372,7 +327,7 @@ pub fn run_suite_planned(
     let mut cells = Vec::with_capacity(matrix.len());
     for (i, &(benchmark, config_name)) in matrix.iter().enumerate() {
         let plan = plan_for(benchmark);
-        let cell = run_cell_planned(benchmark, config_name, insts, samples, plan.as_ref());
+        let cell = run_cell(benchmark, config_name, insts, samples, plan.as_ref());
         progress(&cell, i + 1, matrix.len());
         cells.push(cell);
     }
@@ -462,14 +417,14 @@ pub fn suite_to_json(suite: &BenchSuite) -> Json {
     ])
 }
 
-/// Checks that `text` is a structurally well-formed `tw-bench/v1`
-/// artifact with at least one populated cell.
+/// Checks that `text` parses as JSON and is a `tw-bench/v1` artifact
+/// with at least one populated cell.
 ///
 /// # Errors
 ///
 /// Returns a description of the first problem found.
 pub fn check_artifact(text: &str) -> Result<(), String> {
-    tc_sim::harness::check_well_formed(text)?;
+    tc_sim::harness::parse_json(text)?;
     let compact: String = text.chars().filter(|c| !c.is_whitespace()).collect();
     if !compact.contains(&format!("\"schema\":\"{SCHEMA}\"")) {
         return Err(format!("missing schema marker {SCHEMA:?}"));
@@ -486,7 +441,7 @@ mod tests {
 
     #[test]
     fn smoke_suite_produces_populated_well_formed_artifact() {
-        let mut suite = run_suite(&smoke_matrix(), 5_000, 1, |_, _, _| {});
+        let mut suite = run_suite(&smoke_matrix(), 5_000, 1, |_| None, |_, _, _| {});
         suite.probes = run_sampling_probes(&smoke_matrix(), 100_000, 1, |_, _, _| {});
         assert_eq!(suite.cells.len(), smoke_matrix().len());
         for cell in &suite.cells {

@@ -15,23 +15,13 @@
 //! is a [`PromotionPlan`] that `tw sim --plan` (and friends) attach via
 //! [`crate::SimConfig::with_promotion_plan`].
 //!
-//! # Determinism
-//!
-//! Profiling is *chunked*: the stream is cut into fixed
-//! [`PROFILE_CHUNK`]-instruction chunks regardless of worker count, each
-//! chunk is replayed independently (from a machine snapshot captured by
-//! a fast-forward pre-pass), and per-chunk counts are merged **in stream
-//! order** with a rolling two-outcome context per branch stitching the
-//! chunk boundaries. A parallel (`--jobs N`) profile is therefore
-//! byte-identical to a serial one — the same guarantee the matrix
-//! runner gives for reports.
+//! Profiling is one serial functional pass, so a plan depends only on
+//! the workload and the instruction budget.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use tc_analyze::{analyze, classify, DynProfile};
-use tc_isa::{BlockCache, ControlKind, Interpreter, Machine};
+use tc_isa::{ControlKind, StepOutcome};
 use tc_predict::{BiasOverride, BranchClass, PlanAction};
 use tc_workloads::Workload;
 
@@ -44,200 +34,71 @@ use crate::plan::{PlanEntry, PromotionPlan};
 /// Schema tag of the promotion-plan artifact.
 pub const PLAN_SCHEMA: &str = "tw-plan/v1";
 
-/// Fixed profiling chunk length, in instructions. Chunk boundaries
-/// depend only on this constant — never on the worker count — so the
-/// merged profile is identical at any `--jobs`.
-pub const PROFILE_CHUNK: u64 = 200_000;
-
 /// Promotion thresholds must fit the bias-table counter width.
 const MAX_THRESHOLD: u32 = 1023;
 
-/// Per-branch counts local to one chunk, mergeable across chunks.
-#[derive(Debug, Clone, Copy, Default)]
-struct ChunkBranch {
-    executed: u64,
-    taken: u64,
-    /// Direction changes *within* the chunk.
-    transitions: u64,
-    /// Order-2 history counts for executions with two predecessors
-    /// within the chunk.
-    markov: [[u64; 2]; 4],
-    /// First up-to-two outcomes in the chunk (boundary stitching).
-    first: [bool; 2],
-    /// Last two outcomes in the chunk (`last[1]` most recent).
+/// One branch's profile plus its last two outcomes (`last[1]` most
+/// recent), which the transition and order-2 counts condition on.
+#[derive(Default)]
+struct BranchHistory {
+    profile: DynProfile,
     last: [bool; 2],
 }
 
-fn ctx2(older: bool, newer: bool) -> usize {
-    (usize::from(older) << 1) | usize::from(newer)
-}
-
-impl ChunkBranch {
+impl BranchHistory {
     fn push(&mut self, outcome: bool) {
-        if self.executed >= 1 {
-            if self.last[1] != outcome {
-                self.transitions += 1;
-            }
-            if self.executed >= 2 {
-                self.markov[ctx2(self.last[0], self.last[1])][usize::from(outcome)] += 1;
-            }
+        let p = &mut self.profile;
+        if p.executed >= 1 && self.last[1] != outcome {
+            p.transitions += 1;
         }
-        if self.executed < 2 {
-            self.first[self.executed as usize] = outcome;
+        if p.executed >= 2 {
+            let ctx = (usize::from(self.last[0]) << 1) | usize::from(self.last[1]);
+            p.markov[ctx][usize::from(outcome)] += 1;
         }
-        self.last[0] = self.last[1];
-        self.last[1] = outcome;
-        self.executed += 1;
-        self.taken += u64::from(outcome);
+        self.last = [self.last[1], outcome];
+        p.executed += 1;
+        p.taken += u64::from(outcome);
     }
-}
-
-/// Rolling global context of one branch during the ordered merge: the
-/// last up-to-two outcomes seen across all chunks merged so far.
-#[derive(Debug, Clone, Copy, Default)]
-struct MergeCtx {
-    len: u8,
-    /// `last[1]` most recent.
-    last: [bool; 2],
-}
-
-/// One chunk's profile: branch byte address → counts.
-type ChunkProfile = BTreeMap<u64, ChunkBranch>;
-
-fn profile_chunk(workload: &Workload, machine: Machine, limit: u64) -> ChunkProfile {
-    let mut interp = Interpreter::with_machine(workload.program(), machine);
-    let mut counts = ChunkProfile::new();
-    let mut n = 0u64;
-    while n < limit {
-        let Some(rec) = interp.next() else { break };
-        n += 1;
-        if rec.is_cond_branch() {
-            counts
-                .entry(rec.pc.byte_addr())
-                .or_default()
-                .push(rec.taken);
-        }
-    }
-    counts
-}
-
-/// Merges chunk profiles **in stream order** into whole-run profiles,
-/// stitching each chunk boundary with the branch's rolling context.
-fn merge_chunks(chunks: &[ChunkProfile]) -> BTreeMap<u64, DynProfile> {
-    let mut profiles: BTreeMap<u64, DynProfile> = BTreeMap::new();
-    let mut ctx: BTreeMap<u64, MergeCtx> = BTreeMap::new();
-    for chunk in chunks {
-        for (&pc, s) in chunk {
-            let p = profiles.entry(pc).or_default();
-            let g = ctx.entry(pc).or_default();
-            // Cross-boundary stitching touches only the chunk's first
-            // two outcomes: everything later has both its transition
-            // predecessor and its two-outcome history inside the chunk.
-            if s.executed >= 1 {
-                let o0 = s.first[0];
-                if g.len >= 1 && g.last[1] != o0 {
-                    p.transitions += 1;
-                }
-                if g.len == 2 {
-                    p.markov[ctx2(g.last[0], g.last[1])][usize::from(o0)] += 1;
-                }
-            }
-            if s.executed >= 2 && g.len >= 1 {
-                p.markov[ctx2(g.last[1], s.first[0])][usize::from(s.first[1])] += 1;
-            }
-            p.executed += s.executed;
-            p.taken += s.taken;
-            p.transitions += s.transitions;
-            for c in 0..4 {
-                for o in 0..2 {
-                    p.markov[c][o] += s.markov[c][o];
-                }
-            }
-            match s.executed {
-                0 => {}
-                1 => {
-                    if g.len >= 1 {
-                        g.last[0] = g.last[1];
-                        g.len = 2;
-                    } else {
-                        g.len = 1;
-                    }
-                    g.last[1] = s.first[0];
-                }
-                _ => {
-                    g.last = s.last;
-                    g.len = 2;
-                }
-            }
-        }
-    }
-    profiles
 }
 
 /// Functionally profiles up to `max_insts` instructions of `workload`,
-/// returning per-branch dynamic profiles and the instructions actually
-/// replayed. `jobs` caps the chunk-replay worker threads; the result is
-/// identical for every `jobs ≥ 1`.
+/// returning per-branch dynamic profiles (keyed by branch byte address)
+/// and the instructions actually executed.
 ///
 /// # Errors
 ///
-/// Fails if the workload faults during the fast-forward snapshot pass
-/// (registered workloads never do).
+/// Fails if the workload faults (registered workloads never do).
 pub fn profile_branches(
     workload: &Workload,
     max_insts: u64,
-    jobs: usize,
 ) -> Result<(BTreeMap<u64, DynProfile>, u64), TwError> {
     let program = workload.program();
-    let blocks = BlockCache::new(program);
-    // Snapshot pass: capture the machine at every chunk boundary at
-    // fast-forward (no ExecRecord materialization) speed.
     let mut machine = workload.machine();
-    let mut snapshots: Vec<(Machine, u64)> = Vec::new();
+    let mut branches: BTreeMap<u64, BranchHistory> = BTreeMap::new();
     let mut profiled = 0u64;
-    while profiled < max_insts && !machine.is_halted() {
-        let want = PROFILE_CHUNK.min(max_insts - profiled);
-        snapshots.push((machine.clone(), want));
-        let ran = machine.fast_forward(program, &blocks, want).map_err(|e| {
+    while profiled < max_insts {
+        let step = machine.step(program).map_err(|e| {
             TwError::runtime(format!(
                 "{}: workload faulted while profiling: {e:?}",
                 workload.name()
             ))
         })?;
-        profiled += ran;
-        if ran < want {
+        let StepOutcome::Executed(rec) = step else {
             break;
+        };
+        profiled += 1;
+        if rec.is_cond_branch() {
+            branches
+                .entry(rec.pc.byte_addr())
+                .or_default()
+                .push(rec.taken);
         }
     }
-    // Replay pass: chunks are independent; run them on worker threads
-    // and collect into caller-ordered slots (the runner's idiom).
-    let jobs = jobs.clamp(1, snapshots.len().max(1));
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<ChunkProfile>>> =
-        snapshots.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some((machine, limit)) = snapshots.get(i) else {
-                    break;
-                };
-                let counts = profile_chunk(workload, machine.clone(), *limit);
-                if let Ok(mut slot) = slots[i].lock() {
-                    *slot = Some(counts);
-                }
-            });
-        }
-    });
-    let chunks: Vec<ChunkProfile> = slots
+    let profiles = branches
         .into_iter()
-        .map(|slot| match slot.into_inner() {
-            Ok(Some(counts)) => counts,
-            // Scoped workers fill every slot or propagate their panic.
-            _ => unreachable!("scoped worker left its chunk slot empty"),
-        })
+        .map(|(pc, b)| (pc, b.profile))
         .collect();
-    Ok((merge_chunks(&chunks), profiled))
+    Ok((profiles, profiled))
 }
 
 /// Runs the full analysis pipeline on `workload`: static passes +
@@ -247,12 +108,8 @@ pub fn profile_branches(
 /// # Errors
 ///
 /// Propagates [`profile_branches`] failures.
-pub fn build_plan(
-    workload: &Workload,
-    max_insts: u64,
-    jobs: usize,
-) -> Result<PromotionPlan, TwError> {
-    let (profiles, profiled) = profile_branches(workload, max_insts, jobs)?;
+pub fn build_plan(workload: &Workload, max_insts: u64) -> Result<PromotionPlan, TwError> {
+    let (profiles, profiled) = profile_branches(workload, max_insts)?;
     let report = analyze(workload.program());
     let mut entries = Vec::new();
     for b in &report.taxonomy.branches {
@@ -334,15 +191,14 @@ pub fn plan_to_json(plan: &PromotionPlan) -> Json {
 }
 
 fn want_u64(v: &Value, what: &str) -> Result<u64, TwError> {
-    let n = v
-        .as_f64()
-        .ok_or_else(|| TwError::runtime(format!("plan: {what} is not a number")))?;
-    if n < 0.0 || n.fract() != 0.0 || n > 2f64.powi(53) {
-        return Err(TwError::runtime(format!(
-            "plan: {what} is not a non-negative integer"
-        )));
-    }
-    Ok(n as u64)
+    v.as_u64().ok_or_else(|| {
+        let want = if v.as_f64().is_some() {
+            "a non-negative integer"
+        } else {
+            "a number"
+        };
+        TwError::runtime(format!("plan: {what} is not {want}"))
+    })
 }
 
 fn opt_u64(obj: &Value, key: &str, what: &str) -> Result<u64, TwError> {
@@ -497,35 +353,63 @@ mod tests {
     use super::*;
     use tc_workloads::Benchmark;
 
-    #[test]
-    fn serial_and_parallel_profiles_are_identical() {
-        let workload = Benchmark::Compress.build();
-        let (serial, n1) = profile_branches(&workload, 600_000, 1).unwrap();
-        let (parallel, n4) = profile_branches(&workload, 600_000, 4).unwrap();
-        assert_eq!(n1, n4);
-        assert_eq!(serial, parallel);
-        assert!(!serial.is_empty());
-    }
+    /// Counts `i` from 0 to 6: the parity branch goes T N T N T N and
+    /// the loop branch T T T T T N.
+    const PARITY_LOOP: &str = "\
+.entry main
+main:
+    li   t0, 0
+    li   t1, 6
+loop:
+    andi t2, t0, 1
+    beqz t2, even
+    nop
+even:
+    addi t0, t0, 1
+    blt  t0, t1, loop
+    halt
+";
 
     #[test]
-    fn chunked_profile_matches_one_shot_profile() {
-        // One giant chunk (no boundaries) is the trivially correct
-        // profile; the chunked merge must reproduce it exactly.
-        let workload = Benchmark::Li.build();
-        let one = profile_chunk(&workload, workload.machine(), 500_000);
-        let whole = merge_chunks(std::slice::from_ref(&one));
-        let (chunked, _) = profile_branches(&workload, 500_000, 3).unwrap();
-        assert_eq!(chunked, whole);
-        assert!(one.len() > 4, "li executes many static branches");
+    fn profile_counts_a_known_outcome_sequence() {
+        let program = tc_isa::assemble(PARITY_LOOP).unwrap();
+        let workload = Workload::new("parity", program, 1024, vec![]);
+        let (profiles, profiled) = profile_branches(&workload, 1_000).unwrap();
+        // Two setup instructions, four per iteration, a nop on odd `i`.
+        assert_eq!(profiled, 2 + 6 * 4 + 3);
+        let got: Vec<DynProfile> = profiles.into_values().collect();
+        let parity = DynProfile {
+            executed: 6,
+            taken: 3,
+            transitions: 5,
+            markov: [[0, 0], [2, 0], [0, 2], [0, 0]],
+        };
+        let exit = DynProfile {
+            executed: 6,
+            taken: 5,
+            transitions: 1,
+            markov: [[0, 0], [0, 0], [0, 0], [1, 3]],
+        };
+        assert_eq!(got, [parity, exit]);
+
+        // The budget stops the pass after the seventh instruction: each
+        // branch has executed once, taken.
+        let (short, profiled) = profile_branches(&workload, 7).unwrap();
+        assert_eq!(profiled, 7);
+        let once = DynProfile {
+            executed: 1,
+            taken: 1,
+            ..DynProfile::default()
+        };
+        assert_eq!(short.into_values().collect::<Vec<_>>(), [once, once]);
     }
 
     #[test]
     fn plan_round_trips_through_json() {
         let workload = Benchmark::Compress.build();
-        let plan = build_plan(&workload, 400_000, 2).unwrap();
+        let plan = build_plan(&workload, 400_000).unwrap();
         assert!(!plan.is_empty());
         let text = plan_to_json(&plan).pretty();
-        crate::harness::check_well_formed(&text).unwrap();
         let back = parse_plan(&text).unwrap();
         assert_eq!(back, plan);
     }
@@ -533,7 +417,7 @@ mod tests {
     #[test]
     fn plan_covers_every_static_conditional_branch() {
         let workload = Benchmark::Compress.build();
-        let plan = build_plan(&workload, 200_000, 1).unwrap();
+        let plan = build_plan(&workload, 200_000).unwrap();
         let report = analyze(workload.program());
         let cond = report
             .taxonomy

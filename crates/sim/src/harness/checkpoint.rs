@@ -258,9 +258,9 @@ fn field_str<'a>(v: &'a Value, key: &str) -> Result<&'a str, TwError> {
 fn field_index(v: &Value, key: &str) -> Result<u64, TwError> {
     let f = v
         .get(key)
-        .and_then(Value::as_f64)
+        .filter(|f| f.as_f64().is_some())
         .ok_or_else(|| missing(key, "a number"))?;
-    float_index(f).ok_or_else(|| {
+    f.as_u64().ok_or_else(|| {
         TwError::runtime(format!(
             "checkpoint field '{key}' is not a whole non-negative integer"
         ))
@@ -268,21 +268,14 @@ fn field_index(v: &Value, key: &str) -> Result<u64, TwError> {
 }
 
 fn value_index(v: &Value, what: &str) -> Result<u64, TwError> {
-    let f = v
-        .as_f64()
-        .ok_or_else(|| TwError::runtime(format!("{what} is not a number")))?;
-    float_index(f)
-        .ok_or_else(|| TwError::runtime(format!("{what} is not a whole non-negative integer")))
-}
-
-fn float_index(f: f64) -> Option<u64> {
-    // 2^53: beyond this an f64 no longer represents every integer, so
-    // the value may already have been silently rounded by the parser.
-    if f.is_finite() && f >= 0.0 && f.fract() == 0.0 && f <= 9_007_199_254_740_992.0 {
-        Some(f as u64)
-    } else {
-        None
-    }
+    v.as_u64().ok_or_else(|| {
+        let want = if v.as_f64().is_some() {
+            "a whole non-negative integer"
+        } else {
+            "a number"
+        };
+        TwError::runtime(format!("{what} is not {want}"))
+    })
 }
 
 fn parse_hex(s: &str, what: &str) -> Result<u64, TwError> {

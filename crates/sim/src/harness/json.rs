@@ -363,79 +363,6 @@ pub fn reports_to_json(reports: &[SimReport]) -> Json {
     Json::Array(reports.iter().map(report_to_json).collect())
 }
 
-/// Minimal structural well-formedness scan of JSON text: balanced
-/// brackets outside strings, terminated strings, no trailing commas.
-///
-/// The workspace has no JSON parser (it builds offline with no external
-/// crates), so emitted artifacts are gated in CI with this scan rather
-/// than a full parse. It accepts every output of [`Json::render`] /
-/// [`Json::pretty`] and rejects the structural corruptions a truncated
-/// or hand-edited file would show.
-///
-/// # Errors
-///
-/// Returns a description of the first structural problem found.
-pub fn check_well_formed(text: &str) -> Result<(), String> {
-    let (mut depth, mut in_str, mut esc) = (0i64, false, false);
-    for (i, ch) in text.char_indices() {
-        if in_str {
-            if esc {
-                esc = false;
-            } else if ch == '\\' {
-                esc = true;
-            } else if ch == '"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match ch {
-            '"' => in_str = true,
-            '{' | '[' => depth += 1,
-            '}' | ']' => {
-                depth -= 1;
-                if depth < 0 {
-                    return Err(format!("unbalanced {ch:?} at byte {i}"));
-                }
-            }
-            _ => {}
-        }
-    }
-    if in_str {
-        return Err("unterminated string".to_string());
-    }
-    if depth != 0 {
-        return Err(format!("{depth} unclosed bracket(s)"));
-    }
-    // Trailing commas never separate whitespace from a closer in our
-    // emitter; scan outside strings for `,` followed by `}` / `]`.
-    let (mut in_str, mut esc, mut pending_comma) = (false, false, false);
-    for ch in text.chars() {
-        if in_str {
-            if esc {
-                esc = false;
-            } else if ch == '\\' {
-                esc = true;
-            } else if ch == '"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match ch {
-            '"' => {
-                in_str = true;
-                pending_comma = false;
-            }
-            ',' => pending_comma = true,
-            '}' | ']' if pending_comma => {
-                return Err(format!("trailing comma before {ch:?}"));
-            }
-            c if c.is_whitespace() => {}
-            _ => pending_comma = false,
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -452,24 +379,6 @@ mod tests {
             "\"a\\\"b\\\\c\\nd\""
         );
         assert_eq!(Json::Str("\u{1}".into()).render(), "\"\\u0001\"");
-    }
-
-    #[test]
-    fn well_formedness_scan_accepts_renders_and_rejects_corruption() {
-        let v = Json::Object(vec![
-            ("s", Json::Str("quote \" bracket } comma ,]".into())),
-            ("a", Json::Array(vec![Json::UInt(1), Json::Null])),
-        ]);
-        assert_eq!(check_well_formed(&v.render()), Ok(()));
-        assert_eq!(check_well_formed(&v.pretty()), Ok(()));
-        assert!(check_well_formed("{\"a\":1").is_err(), "unclosed brace");
-        assert!(check_well_formed("{\"a\":1}}").is_err(), "extra closer");
-        assert!(check_well_formed("{\"a\":\"x}").is_err(), "open string");
-        assert!(check_well_formed("[1,2,]").is_err(), "trailing comma");
-        assert!(
-            check_well_formed("[1, 2 , ]").is_err(),
-            "spaced trailing comma"
-        );
     }
 
     #[test]

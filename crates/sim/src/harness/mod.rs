@@ -17,15 +17,16 @@
 //! * [`json`] — a hand-rolled JSON report emitter (the workspace builds
 //!   offline with no external crates) for [`SimReport`] and friends.
 //! * [`parse`] — the matching reader: a small recursive-descent JSON
-//!   parser for artifact comparison (`tw bench --compare`).
+//!   parser, the one that reads every artifact and request body and
+//!   checks every emitted document.
 //! * [`error`] — [`TwError`], the structured error every fallible `tw`
 //!   path returns: a one-line diagnostic plus the exit-code class
 //!   (usage → 2, runtime → 1).
 //! * [`artifact`] — crash-consistent artifact I/O: atomic
 //!   temp+fsync+rename writes, the additive CRC32 integrity envelope,
 //!   and the verified read every artifact consumer goes through.
-//! * [`analyze`] — the `tw analyze` driver: a chunked deterministic
-//!   functional branch profiler, the four-class predictability
+//! * [`analyze`] — the `tw analyze` pipeline: a one-pass functional
+//!   branch profiler, the four-class predictability
 //!   classifier, and the `tw-plan/v1` promotion-plan artifact
 //!   (emit + validating parse).
 //! * [`trace`] — the event-trace sink behind `tw trace`: traced runs,
@@ -33,13 +34,15 @@
 //!   renderers (`--timeline`).
 //! * [`serve`] — the `tw serve` daemon: a hardened HTTP/JSON service
 //!   over the same job kinds, with a single-flight content-addressed
-//!   result cache and a bounded work-stealing job queue.
+//!   result cache and a bounded FIFO job queue.
 //! * [`table`] — the plain-text table renderer and the small statistics
 //!   helpers (`mean`, `percent_change`) every experiment shares.
 //! * `lint` — static verification of workload programs (`tw lint`):
 //!   runs `tc-analyze`'s five-pass pipeline over the registered
 //!   benchmarks and renders results through the same table/JSON
 //!   machinery.
+//! * `checkpoint` — the `tw-ckpt/v1` architectural-state file behind
+//!   `tw checkpoint save` / `restore`.
 //!
 //! The simulator itself is deterministic, so parallel execution is
 //! required to be *observationally identical* to serial execution —
@@ -61,12 +64,12 @@ mod table;
 mod trace;
 
 pub use analyze::{
-    build_plan, parse_plan, plan_table, plan_to_json, profile_branches, PLAN_SCHEMA, PROFILE_CHUNK,
+    build_plan, parse_plan, plan_table, plan_to_json, profile_branches, PLAN_SCHEMA,
 };
 pub use artifact::{read_verified, stamp, write_atomic, Integrity};
 pub use checkpoint::{parse_checkpoint, Checkpoint, CHECKPOINT_FORMAT};
 pub use error::TwError;
-pub use json::{check_well_formed, report_to_json, reports_to_json, trace_summary_to_json, Json};
+pub use json::{report_to_json, reports_to_json, trace_summary_to_json, Json};
 pub use lint::{
     lint_all, lint_benchmark, lint_entry_to_json, lint_errors, lint_table, lint_to_json, LintEntry,
 };

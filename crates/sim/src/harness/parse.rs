@@ -232,15 +232,18 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through unchanged;
-                    // advance by whole characters, not bytes.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the run up to the next quote or escape at
+                    // once. Both are ASCII, so a run cut from valid
+                    // UTF-8 text is itself valid UTF-8.
+                    let rest = &self.bytes[self.pos..];
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let text = std::str::from_utf8(&rest[..run])
                         .map_err(|_| "invalid utf-8 in string".to_string())?;
-                    let Some(c) = rest.chars().next() else {
-                        return Err("unterminated string".to_string());
-                    };
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(text);
+                    self.pos += run;
                 }
             }
         }
@@ -341,6 +344,8 @@ mod tests {
         let v = parse_json(r#"{"s":"a\"b\\c\ndA","n":-1.5e-2}"#).unwrap();
         assert_eq!(v.get("s").and_then(Value::as_str), Some("a\"b\\c\ndA"));
         assert!((v.get("n").and_then(Value::as_f64).unwrap() + 0.015).abs() < 1e-12);
+        let v = parse_json("[\"µs → ü\\\"x\"]").unwrap();
+        assert_eq!(v.as_array().unwrap()[0].as_str(), Some("µs → ü\"x"));
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! * [`wire`] — the `tw-serve/v1` JSON protocol: strict request
 //!   parsing, canonical cache keys (aliases resolved, defaults filled),
 //!   the uniform error body.
-//! * [`queue`] — a sharded, bounded, work-stealing job queue with
-//!   load-shedding and drain-on-close.
+//! * [`queue`] — a bounded FIFO job queue with load-shedding and
+//!   drain-on-close.
 //! * [`cache`] — the single-flight result cache: one computation per
 //!   key, joiners share the owner's exact bytes.
 //! * [`disk`] — the optional persistent tier under the cache

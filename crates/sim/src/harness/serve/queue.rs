@@ -1,79 +1,61 @@
-//! A sharded, bounded, work-stealing job queue.
+//! A bounded FIFO job queue.
 //!
-//! Connection handlers push; worker threads pop. Jobs land on shards
-//! round-robin (spreading lock contention), and an idle worker that
-//! finds its home shard empty steals from the others before parking.
+//! Connection handlers push; worker threads pop. One `Mutex` guards the
+//! jobs and the closed flag, and one `Condvar` wakes parked workers.
 //! The queue is *bounded*: when every slot is full, [`JobQueue::push`]
 //! refuses immediately so the server can shed load with a 503 instead
 //! of buffering unboundedly.
-//!
-//! Parking uses a single gate (`Mutex` + `Condvar`) rather than
-//! per-shard condvars: workers re-check the global length *under the
-//! gate lock* before sleeping, so a push that lands between the empty
-//! scan and the park cannot be missed.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// Counters exported via `GET /v1/stats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
     /// Jobs accepted by [`JobQueue::push`].
     pub pushed: u64,
-    /// Pushes refused because the queue was full.
+    /// Pushes refused because the queue was full or closed.
     pub shed: u64,
-    /// Pops served from a shard other than the worker's home shard.
-    pub stolen: u64,
     /// Jobs currently enqueued.
     pub depth: usize,
 }
 
+struct State<T> {
+    jobs: VecDeque<T>,
+    closed: bool,
+    pushed: u64,
+    shed: u64,
+}
+
 /// The queue. `T` is the job payload (the server uses a boxed job).
 pub struct JobQueue<T> {
-    shards: Vec<Mutex<VecDeque<T>>>,
-    /// Total enqueued across shards; incremented *before* the shard
-    /// push (with rollback on full) so `pop` never under-counts.
-    len: AtomicUsize,
-    capacity: usize,
-    next_shard: AtomicUsize,
-    gate: Mutex<bool>, // true once closed
+    state: Mutex<State<T>>,
     wake: Condvar,
-    pushed: AtomicU64,
-    shed: AtomicU64,
-    stolen: AtomicU64,
+    capacity: usize,
 }
 
 impl<T> JobQueue<T> {
-    /// A queue with `shards` lock shards holding at most `capacity`
-    /// jobs in total. Both are clamped to at least 1.
+    /// A queue holding at most `capacity` jobs (clamped to at least 1).
     #[must_use]
-    pub fn new(shards: usize, capacity: usize) -> JobQueue<T> {
+    pub fn new(capacity: usize) -> JobQueue<T> {
         JobQueue {
-            shards: (0..shards.max(1))
-                .map(|_| Mutex::new(VecDeque::new()))
-                .collect(),
-            len: AtomicUsize::new(0),
-            capacity: capacity.max(1),
-            next_shard: AtomicUsize::new(0),
-            gate: Mutex::new(false),
+            state: Mutex::new(State {
+                jobs: VecDeque::new(),
+                closed: false,
+                pushed: 0,
+                shed: 0,
+            }),
             wake: Condvar::new(),
-            pushed: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            stolen: AtomicU64::new(0),
+            capacity: capacity.max(1),
         }
     }
 
-    /// Jobs currently enqueued.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len.load(Ordering::Acquire)
-    }
-
-    /// Whether the queue is currently empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// The state, even if a thread panicked while holding the lock: a
+    /// push or pop never leaves it half-updated.
+    fn lock(&self) -> MutexGuard<'_, State<T>> {
+        self.state
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Enqueues a job, or hands it back when the queue is full or
@@ -83,101 +65,51 @@ impl<T> JobQueue<T> {
     ///
     /// Returns the rejected job.
     pub fn push(&self, job: T) -> Result<(), T> {
-        // Reserve a slot first; roll back if over capacity. This keeps
-        // the bound exact without a global lock on the happy path.
-        let prior = self.len.fetch_add(1, Ordering::AcqRel);
-        if prior >= self.capacity {
-            self.len.fetch_sub(1, Ordering::AcqRel);
-            self.shed.fetch_add(1, Ordering::Relaxed);
+        let mut state = self.lock();
+        if state.closed || state.jobs.len() >= self.capacity {
+            state.shed += 1;
             return Err(job);
         }
-        if self.is_closed() {
-            self.len.fetch_sub(1, Ordering::AcqRel);
-            self.shed.fetch_add(1, Ordering::Relaxed);
-            return Err(job);
-        }
-        let shard = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        match self.shards[shard].lock() {
-            Ok(mut q) => q.push_back(job),
-            Err(poisoned) => poisoned.into_inner().push_back(job),
-        }
-        self.pushed.fetch_add(1, Ordering::Relaxed);
-        // Taking the gate lock orders this wake against any worker
-        // between its empty scan and its park.
-        drop(self.gate.lock());
+        state.jobs.push_back(job);
+        state.pushed += 1;
+        drop(state);
         self.wake.notify_one();
         Ok(())
     }
 
-    fn try_pop(&self, home: usize) -> Option<T> {
-        let n = self.shards.len();
-        for offset in 0..n {
-            let shard = (home + offset) % n;
-            let job = match self.shards[shard].lock() {
-                Ok(mut q) => q.pop_front(),
-                Err(poisoned) => poisoned.into_inner().pop_front(),
-            };
-            if let Some(job) = job {
-                self.len.fetch_sub(1, Ordering::AcqRel);
-                if offset != 0 {
-                    self.stolen.fetch_add(1, Ordering::Relaxed);
-                }
-                return Some(job);
-            }
-        }
-        None
-    }
-
-    /// Blocks until a job is available (scanning the home shard first,
-    /// then stealing) or the queue is closed *and* drained — `None`
-    /// means the worker should exit.
-    pub fn pop(&self, home: usize) -> Option<T> {
+    /// Blocks until a job is available or the queue is closed *and*
+    /// drained — `None` means the worker should exit.
+    pub fn pop(&self) -> Option<T> {
+        let mut state = self.lock();
         loop {
-            if let Some(job) = self.try_pop(home) {
+            if let Some(job) = state.jobs.pop_front() {
                 return Some(job);
             }
-            let guard = match self.gate.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            // Re-check under the gate: a push between try_pop and here
-            // already took this lock, so its job is visible now.
-            if !self.is_empty() {
-                continue;
-            }
-            if *guard {
+            if state.closed {
                 return None;
             }
-            // Spurious wakeups loop back around to try_pop.
-            drop(self.wake.wait(guard));
+            state = self
+                .wake
+                .wait(state)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
     }
 
     /// Closes the queue: further pushes are refused, workers drain the
     /// backlog and then see `None`.
     pub fn close(&self) {
-        match self.gate.lock() {
-            Ok(mut g) => *g = true,
-            Err(poisoned) => *poisoned.into_inner() = true,
-        }
+        self.lock().closed = true;
         self.wake.notify_all();
-    }
-
-    fn is_closed(&self) -> bool {
-        match self.gate.lock() {
-            Ok(g) => *g,
-            Err(poisoned) => *poisoned.into_inner(),
-        }
     }
 
     /// Snapshot of the counters.
     #[must_use]
     pub fn stats(&self) -> QueueStats {
+        let state = self.lock();
         QueueStats {
-            pushed: self.pushed.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            stolen: self.stolen.load(Ordering::Relaxed),
-            depth: self.len(),
+            pushed: state.pushed,
+            shed: state.shed,
+            depth: state.jobs.len(),
         }
     }
 }
@@ -185,12 +117,10 @@ impl<T> JobQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
-    use std::sync::Arc;
 
     #[test]
     fn bounded_pushes_shed_at_capacity() {
-        let q: JobQueue<u32> = JobQueue::new(4, 3);
+        let q: JobQueue<u32> = JobQueue::new(3);
         assert!(q.push(1).is_ok());
         assert!(q.push(2).is_ok());
         assert!(q.push(3).is_ok());
@@ -198,55 +128,53 @@ mod tests {
         assert_eq!(q.stats().shed, 1);
         assert_eq!(q.stats().depth, 3);
         // Draining frees capacity again.
-        assert!(q.pop(0).is_some());
+        assert!(q.pop().is_some());
         assert!(q.push(5).is_ok());
     }
 
     #[test]
     fn close_drains_then_terminates_workers() {
-        let q: JobQueue<u32> = JobQueue::new(2, 10);
+        let q: JobQueue<u32> = JobQueue::new(10);
         q.push(1).unwrap();
         q.push(2).unwrap();
         q.close();
         assert_eq!(q.push(3), Err(3), "closed queue refuses pushes");
-        let mut drained = vec![q.pop(0), q.pop(1), q.pop(0)];
-        drained.sort();
-        assert_eq!(drained, [None, Some(1), Some(2)]);
+        assert_eq!([q.pop(), q.pop(), q.pop()], [Some(1), Some(2), None]);
     }
 
     #[test]
-    fn concurrent_producers_and_stealing_consumers_lose_nothing() {
-        let q: Arc<JobQueue<u64>> = Arc::new(JobQueue::new(4, 100_000));
-        let sum = Arc::new(AtomicU64::new(0));
+    fn concurrent_producers_and_consumers_lose_nothing() {
+        let q: JobQueue<u64> = JobQueue::new(100_000);
         let producers = 8u64;
         let per = 500u64;
-        std::thread::scope(|scope| {
-            for w in 0..4usize {
-                let q = Arc::clone(&q);
-                let sum = Arc::clone(&sum);
-                scope.spawn(move || {
-                    while let Some(v) = q.pop(w) {
-                        sum.fetch_add(v, Ordering::Relaxed);
-                    }
-                });
-            }
-            scope.spawn(|| {
-                std::thread::scope(|inner| {
-                    for p in 0..producers {
-                        let q = &q;
-                        inner.spawn(move || {
-                            for i in 0..per {
-                                q.push(p * per + i + 1).unwrap();
-                            }
-                        });
-                    }
-                });
-                q.close();
+        let sum: u64 = std::thread::scope(|scope| {
+            let consumers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut sum = 0;
+                        while let Some(v) = q.pop() {
+                            sum += v;
+                        }
+                        sum
+                    })
+                })
+                .collect();
+            std::thread::scope(|inner| {
+                for p in 0..producers {
+                    let q = &q;
+                    inner.spawn(move || {
+                        for i in 0..per {
+                            q.push(p * per + i + 1).unwrap();
+                        }
+                    });
+                }
             });
+            q.close();
+            consumers.into_iter().map(|c| c.join().unwrap()).sum()
         });
         let n = producers * per;
-        assert_eq!(sum.load(Ordering::Relaxed), n * (n + 1) / 2);
+        assert_eq!(sum, n * (n + 1) / 2);
         assert_eq!(q.stats().pushed, n);
-        assert!(q.is_empty());
+        assert_eq!(q.stats().depth, 0);
     }
 }

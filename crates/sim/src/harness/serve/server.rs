@@ -187,7 +187,7 @@ impl Server {
         let bound = listener.local_addr()?;
         let state = Arc::new(ServeState {
             bound,
-            queue: JobQueue::new(config.workers.clamp(1, 16), config.queue_depth),
+            queue: JobQueue::new(config.queue_depth),
             cache: ResultCache::new(config.cache_entries),
             disk,
             shutdown: AtomicBool::new(false),
@@ -220,9 +220,9 @@ impl Server {
     pub fn run(self) -> ServeSummary {
         let state = &self.state;
         let workers: Vec<_> = (0..state.config.workers.max(1))
-            .map(|home| {
+            .map(|_| {
                 let state = Arc::clone(state);
-                std::thread::spawn(move || worker_loop(&state, home))
+                std::thread::spawn(move || worker_loop(&state))
             })
             .collect();
 
@@ -492,8 +492,8 @@ fn ok_cached(body: &Arc<String>, disposition: &'static str, hash: &str) -> Respo
         .with_header("X-Key", hash.to_string())
 }
 
-fn worker_loop(state: &ServeState, home: usize) {
-    while let Some(job) = state.queue.pop(home) {
+fn worker_loop(state: &ServeState) {
+    while let Some(job) = state.queue.pop() {
         let outcome = catch_unwind(AssertUnwindSafe(|| run_job(state, &job.spec)));
         match outcome {
             Ok(Ok(body)) => {
@@ -551,9 +551,7 @@ fn run_job(state: &ServeState, spec: &JobSpec) -> Result<String, TwError> {
                 config = config.with_perfect_disambiguation();
             }
             if spec.auto_plan {
-                // Worker threads are the parallelism; the plan profiler
-                // runs serially within one.
-                config = config.with_promotion_plan(build_plan(&workload, spec.insts, 1)?);
+                config = config.with_promotion_plan(build_plan(&workload, spec.insts)?);
             }
             if spec.timeline {
                 let options = TraceOptions {
@@ -642,7 +640,7 @@ fn run_job(state: &ServeState, spec: &JobSpec) -> Result<String, TwError> {
             ))
         }
         JobKind::Analyze => {
-            let plan = build_plan(&workload, spec.insts, 1)?;
+            let plan = build_plan(&workload, spec.insts)?;
             Ok(envelope(
                 spec.kind,
                 spec,
@@ -692,7 +690,6 @@ fn stats_body(state: &ServeState) -> String {
             Json::Object(vec![
                 ("pushed", Json::UInt(queue.pushed)),
                 ("shed", Json::UInt(queue.shed)),
-                ("stolen", Json::UInt(queue.stolen)),
                 (
                     "depth",
                     Json::UInt(u64::try_from(queue.depth).unwrap_or(u64::MAX)),

@@ -629,7 +629,7 @@ mod tests {
     #[test]
     fn error_bodies_are_well_formed_json() {
         let body = error_body(503, "queue is full");
-        crate::harness::json::check_well_formed(&body).unwrap();
+        crate::harness::parse::parse_json(&body).unwrap();
         assert!(body.contains("\"queue is full\""));
         assert!(body.contains("503"));
     }

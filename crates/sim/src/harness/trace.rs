@@ -368,7 +368,7 @@ pub fn timeline_table(timeline: &Timeline) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::json::check_well_formed;
+    use crate::harness::parse::parse_json;
     use tc_workloads::Benchmark;
 
     fn small_traced() -> TracedRun {
@@ -409,7 +409,7 @@ mod tests {
         let run = small_traced();
         assert!(run.summary.dropped > 0, "2k ring must overflow");
         let text = chrome_trace_json(&run).pretty();
-        check_well_formed(&text).expect("chrome export is well-formed");
+        parse_json(&text).expect("chrome export is well-formed");
         assert!(text.contains("\"traceEvents\""));
         assert!(text.contains("\"ph\": \"i\""));
         assert!(text.contains("\"ph\": \"C\""));
@@ -423,7 +423,7 @@ mod tests {
         let table = timeline_table(timeline);
         assert_eq!(table.lines().count(), timeline.windows().len() + 1);
         let json = timeline_to_json(timeline).pretty();
-        check_well_formed(&json).expect("timeline json is well-formed");
+        parse_json(&json).expect("timeline json is well-formed");
         assert_eq!(
             json.matches("\"start_cycle\"").count(),
             timeline.windows().len()

@@ -201,6 +201,18 @@ impl SimReport {
         }
     }
 
+    /// Fraction of conditional-branch executions that ran promoted, in
+    /// `[0, 1]`.
+    #[must_use]
+    pub fn promo_coverage(&self) -> f64 {
+        let total = self.cond_branches + self.promoted_executed + self.promoted_faults;
+        if total == 0 {
+            0.0
+        } else {
+            self.promoted_executed as f64 / total as f64
+        }
+    }
+
     /// Average misprediction resolution time in cycles (Figure 15).
     #[must_use]
     pub fn avg_resolution_time(&self) -> f64 {

@@ -13,7 +13,7 @@
 //!   disk.
 
 use tc_isa::assemble;
-use tc_sim::harness::{build_plan, check_well_formed, parse_plan, plan_to_json};
+use tc_sim::harness::{build_plan, parse_json, parse_plan, plan_to_json};
 use tc_workloads::{Benchmark, Workload};
 
 /// xoshiro256** seeded via SplitMix64 (Blackman & Vigna). Local copy:
@@ -101,7 +101,7 @@ done:
 fn analysis_pipeline_never_panics_on_mutated_source() {
     {
         let program = assemble(VALID).expect("fuzz corpus must start valid");
-        let plan = build_plan(&Workload::new("fuzz", program, 1024, vec![]), 5_000, 2)
+        let plan = build_plan(&Workload::new("fuzz", program, 1024, vec![]), 5_000)
             .expect("fuzz corpus must profile cleanly");
         assert!(!plan.is_empty(), "corpus must contain conditional branches");
     }
@@ -118,11 +118,11 @@ fn analysis_pipeline_never_panics_on_mutated_source() {
         // profile (bounded — mutants may loop forever or fault, both
         // fine), classify, emit, and re-parse its own emission.
         let workload = Workload::new("fuzz", program, 1024, vec![]);
-        match build_plan(&workload, 5_000, 2) {
+        match build_plan(&workload, 5_000) {
             Ok(plan) => {
                 planned += 1;
                 let text = plan_to_json(&plan).pretty();
-                check_well_formed(&text).expect("emitted plan must be well-formed JSON");
+                parse_json(&text).expect("emitted plan must be well-formed JSON");
                 assert_eq!(parse_plan(&text).expect("emitted plan must re-parse"), plan);
             }
             Err(e) => {
@@ -138,7 +138,7 @@ fn analysis_pipeline_never_panics_on_mutated_source() {
 #[test]
 fn plan_reader_never_panics_on_mutated_input() {
     let workload = Benchmark::Compress.build();
-    let valid = plan_to_json(&build_plan(&workload, 100_000, 1).unwrap()).pretty();
+    let valid = plan_to_json(&build_plan(&workload, 100_000).unwrap()).pretty();
     parse_plan(&valid).expect("fuzz corpus must start valid");
 
     let mut rng = Xoshiro::seeded(0x51a3_0cf7u64);

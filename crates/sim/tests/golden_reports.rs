@@ -17,7 +17,7 @@
 //! simulation results, and say so in the commit.
 
 use tc_core::TraceCacheConfig;
-use tc_sim::harness::report_to_json;
+use tc_sim::harness::{build_plan, plan_to_json, report_to_json};
 use tc_sim::{simulate, FaultLocus, FaultPlan, SimConfig};
 use tc_workloads::{Benchmark, RvBench, WorkloadId};
 
@@ -245,4 +245,32 @@ golden_modes! {
     gcc_headline_sampled_400k, "gcc-headline-sampled-400k";
     perl_headline_ff200k_100k, "perl-headline-ff200k-100k";
     rv_qsort_icache_sampled_300k, "rv-qsort-icache-sampled-300k";
+}
+
+/// Promotion-plan fixtures, captured from the release `tw` binary with
+/// `tw analyze --workload <name> --insts 450000 --json` while the
+/// profiler still replayed the stream in 200k-instruction chunks, so
+/// they pin the counts across what were two chunk boundaries.
+macro_rules! golden_plans {
+    ($($name:ident, $bench:expr, $stem:literal;)*) => {
+        $(
+            #[test]
+            fn $name() {
+                let bench: WorkloadId = $bench.into();
+                let plan = build_plan(&bench.build(), 450_000).unwrap();
+                assert_eq!(
+                    format!("{}\n", plan_to_json(&plan).pretty()),
+                    include_str!(concat!("golden/", $stem, ".json")),
+                    "{}: plan differs from the captured one",
+                    bench.name()
+                );
+            }
+        )*
+    };
+}
+
+golden_plans! {
+    plan_li_450k, Benchmark::Li, "plan-li-450k";
+    plan_go_450k, Benchmark::Go, "plan-go-450k";
+    plan_rv_qsort_450k, RvBench::Qsort, "plan-rv-qsort-450k";
 }

@@ -3,7 +3,7 @@
 //! the JSON report schema.
 
 use tc_sim::harness::{
-    check_well_formed, lookup, preset, presets, report_to_json, run_matrix, standard_five, Json,
+    lookup, parse_json, preset, presets, report_to_json, run_matrix, standard_five, Json,
     MatrixRunner, STANDARD_FIVE,
 };
 use tc_sim::{simulate, SimConfig};
@@ -90,16 +90,11 @@ fn parallel_matrix_is_bit_identical_to_serial() {
 
 /// Determinism survives an attached promotion plan: a plan-carrying
 /// matrix (per-branch bias overrides + per-class attribution) is
-/// bit-identical between serial and parallel runs, and the plan itself
-/// is byte-identical whether profiled with one worker or many.
+/// bit-identical between serial and parallel runs.
 #[test]
 fn planned_matrix_is_bit_identical_to_serial() {
     let bench = Benchmark::Compress;
-    let plan = tc_sim::harness::build_plan(&bench.build(), 100_000, 1).unwrap();
-    assert_eq!(
-        plan,
-        tc_sim::harness::build_plan(&bench.build(), 100_000, 4).unwrap()
-    );
+    let plan = tc_sim::harness::build_plan(&bench.build(), 100_000).unwrap();
     let cells: Vec<(Benchmark, SimConfig)> = standard_five()
         .into_iter()
         .map(|(_, config)| {
@@ -250,12 +245,9 @@ fn json_report_schema_is_stable() {
     }
     assert_finite(&json, "report");
 
-    // The rendering passes the harness's structural well-formedness
-    // scan (the same gate `tw bench --check` applies to emitted
-    // artifacts): balanced braces outside strings, terminated strings,
-    // no trailing commas.
-    check_well_formed(&json.render()).expect("compact render is well-formed");
-    check_well_formed(&json.pretty()).expect("pretty render is well-formed");
+    // Both renderings parse as JSON.
+    parse_json(&json.render()).expect("compact render is well-formed");
+    parse_json(&json.pretty()).expect("pretty render is well-formed");
 
     // Headline metrics agree with the report's accessors.
     match json.get("ipc") {

@@ -60,15 +60,6 @@ fn fetch_rate_delta_pct(full: &SimReport, sampled: &SimReport) -> f64 {
         * 100.0
 }
 
-fn promo_coverage(r: &SimReport) -> f64 {
-    let total = r.cond_branches + r.promoted_executed + r.promoted_faults;
-    if total == 0 {
-        0.0
-    } else {
-        r.promoted_executed as f64 / total as f64
-    }
-}
-
 #[test]
 fn sampled_runs_track_full_timing_on_every_workload() {
     // The documented accuracy contract (DESIGN.md §13): at a dense
@@ -95,7 +86,7 @@ fn sampled_runs_track_full_timing_on_every_workload() {
             full.effective_fetch_rate(),
             sampled.effective_fetch_rate()
         );
-        let promo_delta = (promo_coverage(&sampled) - promo_coverage(&full)) * 100.0;
+        let promo_delta = (sampled.promo_coverage() - full.promo_coverage()) * 100.0;
         let promo_tolerance = if bench == Benchmark::M88ksim {
             25.0
         } else {

@@ -21,9 +21,7 @@
 //!    to alter the event stream or the export format, and say so in the
 //!    commit.
 
-use tc_sim::harness::{
-    check_well_formed, chrome_trace_json, report_to_json, run_traced, TraceOptions,
-};
+use tc_sim::harness::{chrome_trace_json, parse_json, report_to_json, run_traced, TraceOptions};
 use tc_sim::{Processor, SimConfig};
 use tc_trace::EventFilter;
 use tc_workloads::Benchmark;
@@ -115,7 +113,7 @@ fn chrome_export_matches_the_golden_fixture() {
         &options,
     );
     let rendered = format!("{}\n", chrome_trace_json(&run).pretty());
-    check_well_formed(&rendered).expect("chrome export is well-formed");
+    parse_json(&rendered).expect("chrome export is well-formed");
     assert_eq!(
         rendered, fixture,
         "chrome trace export differs from the committed capture"

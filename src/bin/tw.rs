@@ -130,7 +130,7 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "sim",
         synopsis: "--bench! --config! --insts --perfect-mem --json --timeline --interval \
-                   --plan --jobs --fast-forward --sample --warmup",
+                   --plan --fast-forward --sample --warmup",
         about: "simulate one benchmark under one configuration; --fast-forward skips N \
                 instructions functionally before timing, or --sample times M of every K \
                 instructions, warming the front end for W before each window; --plan \
@@ -163,7 +163,7 @@ const COMMANDS: &[Command] = &[
     },
     Command {
         name: "analyze",
-        synopsis: "--workload --insts --jobs --json --out --check",
+        synopsis: "--workload --insts --json --out --check",
         about: "profile a workload, classify every static conditional branch \
                 (strongly-biased / phase-biased / history-predictable / \
                 data-dependent) and emit a tw-plan/v1 promotion plan; --check \
@@ -203,7 +203,7 @@ const COMMANDS: &[Command] = &[
     },
     Command {
         name: "bench",
-        synopsis: "--smoke --insts --samples --out --plan --jobs --json --check --compare \
+        synopsis: "--smoke --insts --samples --out --plan --json --check --compare \
                    --tolerance",
         about: "time the simulator over the benchmark x configuration matrix and write a \
                 tw-bench/v1 artifact (default BENCH_frontend.json); --check validates an \
@@ -799,7 +799,6 @@ fn load_plan(
             Ok(Some(harness::build_plan(
                 &workload,
                 a.insts_or(DEFAULT_INSTS),
-                a.jobs(),
             )?))
         }
         Some(path) => {
@@ -983,7 +982,7 @@ fn cmd_trace(a: &Args) -> Result<ExitCode, TwError> {
         &options,
     );
     let text = harness::chrome_trace_json(&run).pretty();
-    if let Err(e) = harness::check_well_formed(&text) {
+    if let Err(e) = harness::parse_json(&text) {
         return Err(TwError::runtime(format!(
             "internal error: emitted trace is malformed: {e}"
         )));
@@ -1224,9 +1223,9 @@ fn cmd_analyze(a: &Args) -> Result<ExitCode, TwError> {
     }
     let bench = a.workload()?;
     let workload = bench.build();
-    let plan = harness::build_plan(&workload, a.insts_or(DEFAULT_INSTS), a.jobs())?;
+    let plan = harness::build_plan(&workload, a.insts_or(DEFAULT_INSTS))?;
     let text = harness::plan_to_json(&plan).pretty();
-    if let Err(e) = harness::check_well_formed(&text) {
+    if let Err(e) = harness::parse_json(&text) {
         return Err(TwError::runtime(format!(
             "internal error: emitted plan is malformed: {e}"
         )));
@@ -1295,7 +1294,7 @@ fn cmd_bench(a: &Args) -> Result<ExitCode, TwError> {
         Some("auto") => {
             for &(b, _) in &matrix {
                 if !plans.contains_key(b.name()) {
-                    plans.insert(b.name(), harness::build_plan(&b.build(), insts, a.jobs())?);
+                    plans.insert(b.name(), harness::build_plan(&b.build(), insts)?);
                 }
             }
         }
@@ -1313,7 +1312,7 @@ fn cmd_bench(a: &Args) -> Result<ExitCode, TwError> {
         );
     }
     let samples = a.uint("--samples").map_or(3, |n| n as u32);
-    let mut suite = suite::run_suite_planned(
+    let mut suite = suite::run_suite(
         &matrix,
         insts,
         samples,

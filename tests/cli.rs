@@ -74,6 +74,11 @@ fn unknown_command_and_flags_are_usage_errors() {
             "sim", "--bench", "compress", "--config", "baseline", "--rate", "1e-3",
         ][..],
         &["list", "--jobs", "2"],
+        &[
+            "sim", "--bench", "gcc", "--config", "baseline", "--jobs", "2",
+        ],
+        &["analyze", "--workload", "gcc", "--jobs", "2"],
+        &["bench", "--smoke", "--jobs", "2"],
         &["bench", "--port", "1"],
         &["paper", "fig4", "--timeline"],
     ] {
