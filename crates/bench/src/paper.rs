@@ -8,8 +8,11 @@
 //! [`MatrixRunner`], so figures that reuse a configuration simulate it
 //! once and uncached cells run in parallel.
 
-use tc_core::{PackingPolicy, TerminationReason};
-use tc_sim::harness::{f2, mean, pct, percent_change, standard_five, MatrixRunner, Table};
+use tc_core::{PackingPolicy, StaticPromotionTable, TerminationReason};
+use tc_isa::Addr;
+use tc_sim::harness::{
+    f2, mean, pct, percent_change, profile_branches, standard_five, MatrixRunner, Table,
+};
 use tc_sim::{SimConfig, SimReport};
 use tc_workloads::Benchmark;
 
@@ -648,9 +651,9 @@ fn ablation_bias(r: &mut MatrixRunner) {
         ("64K tagged", 65536, true),
     ] {
         let mut config = SimConfig::promotion(64);
-        if let Some(p) = &mut config.front_end.promotion {
-            p.bias.entries = entries;
-            p.bias.tagged = tagged;
+        if let Some(bias) = &mut config.front_end.promotion {
+            bias.entries = entries;
+            bias.tagged = tagged;
         }
         let reports = r.run_suite(&config);
         let effr = mean(reports.iter().map(SimReport::effective_fetch_rate));
@@ -701,11 +704,7 @@ fn ablation_static(r: &mut MatrixRunner) {
     ]);
     for &bench in &Benchmark::ALL {
         let dynamic = r.run(bench, &SimConfig::promotion(64)).clone();
-        // Profile the training prefix and build the static table.
-        let workload = bench.build();
-        let table =
-            tc_core::StaticPromotionTable::profile(workload.interpreter().take(500_000), 32, 0.95);
-        let config = SimConfig::promotion(64).with_static_promotion(table);
+        let config = SimConfig::promotion(64).with_static_promotion(static_promotion(bench));
         let static_rep = r.run(bench, &config).clone();
         t.row(vec![
             bench.short_name().to_owned(),
@@ -718,6 +717,25 @@ fn ablation_static(r: &mut MatrixRunner) {
     println!("{}", t.render());
     println!("[paper §4: static promotion skips warm-up and catches patterned bias,");
     println!(" but cannot adapt when a branch's bias changes at run time]");
+}
+
+/// §4's profiling compiler: a branch that executes at least 32 times in
+/// the first 500K instructions, at least 95% of them in one direction,
+/// is promoted in that direction.
+fn static_promotion(bench: Benchmark) -> StaticPromotionTable {
+    // Registered workloads never fault; one that did would promote
+    // nothing.
+    let profiles = profile_branches(&bench.build(), 500_000)
+        .map(|(profiles, _)| profiles)
+        .unwrap_or_default();
+    let mut table = StaticPromotionTable::new();
+    for (pc, p) in profiles {
+        if p.executed >= 32 && p.bias() >= 0.95 {
+            let index = (pc / Addr::INSTR_BYTES) as u32;
+            table.insert(Addr::new(index), p.taken >= p.executed - p.taken);
+        }
+    }
+    table
 }
 
 fn ablation_passoc(r: &mut MatrixRunner) {

@@ -19,27 +19,6 @@ pub enum PredictorChoice {
     Hybrid,
 }
 
-/// Branch-promotion parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PromotionConfig {
-    /// Consecutive-outcome threshold (the paper sweeps 8–256, settles on
-    /// 64).
-    pub threshold: u32,
-    /// Bias-table geometry.
-    pub bias: BiasConfig,
-}
-
-impl PromotionConfig {
-    /// The paper's 8K-entry tagged bias table at `threshold`.
-    #[must_use]
-    pub fn paper(threshold: u32) -> PromotionConfig {
-        PromotionConfig {
-            threshold,
-            bias: BiasConfig::paper(threshold),
-        }
-    }
-}
-
 /// Complete front-end configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrontEndConfig {
@@ -48,8 +27,9 @@ pub struct FrontEndConfig {
     pub trace_cache: Option<TraceCacheConfig>,
     /// Fill-unit packing policy.
     pub packing: PackingPolicy,
-    /// Branch promotion; `None` disables it.
-    pub promotion: Option<PromotionConfig>,
+    /// Branch promotion: the bias table and its promotion threshold;
+    /// `None` disables it.
+    pub promotion: Option<BiasConfig>,
     /// Predictor structure.
     pub predictor: PredictorChoice,
     /// Partial matching (Friendly et al., used by the paper's baseline):
@@ -104,7 +84,7 @@ impl FrontEndConfig {
     #[must_use]
     pub fn promotion(threshold: u32) -> FrontEndConfig {
         FrontEndConfig {
-            promotion: Some(PromotionConfig::paper(threshold)),
+            promotion: Some(BiasConfig::paper(threshold)),
             predictor: PredictorChoice::SplitMulti,
             ..FrontEndConfig::baseline()
         }
@@ -157,8 +137,8 @@ impl FrontEndConfig {
             return "icache".to_owned();
         }
         let mut parts = vec!["tc".to_owned()];
-        if let Some(p) = &self.promotion {
-            parts.push(format!("promo{}", p.threshold));
+        if let Some(bias) = &self.promotion {
+            parts.push(format!("promo{}", bias.threshold));
         }
         if self.packing != PackingPolicy::Atomic {
             parts.push(self.packing.to_string());

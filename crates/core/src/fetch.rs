@@ -275,7 +275,7 @@ impl<T: Tracer> FrontEnd<T> {
     #[must_use]
     pub fn with_tracer(config: FrontEndConfig, tracer: T) -> FrontEnd<T> {
         let fill = config.trace_cache.map(|_| {
-            let bias = config.promotion.map(|p| BiasTable::new(p.bias));
+            let bias = config.promotion.map(BiasTable::new);
             FillUnit::new(config.packing, bias)
         });
         FrontEnd::with_fill(config, fill, tracer)

@@ -349,7 +349,7 @@ impl FillUnit {
                 len: insts.len() as u8,
                 dynamic_branches: dynamic as u8,
                 promoted: promoted as u8,
-                reason: reason.into(),
+                reason,
             });
         }
         assert_well_formed(insts.len(), dynamic);

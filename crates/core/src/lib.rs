@@ -39,7 +39,7 @@ mod segment;
 mod stats;
 mod trace_cache;
 
-pub use config::{FrontEndConfig, PredictorChoice, PromotionConfig};
+pub use config::{FrontEndConfig, PredictorChoice};
 pub use fetch::{FetchBundle, FetchStep, FetchedInst, FrontEnd, NextPc, QuarantineStats};
 pub use fill::{FillStats, FillUnit, PackingPolicy};
 pub use inline_vec::InlineVec;

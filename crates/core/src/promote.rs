@@ -7,13 +7,14 @@
 //! biased overall but switch outcomes in patterns the consecutive-outcome
 //! counter resets on; it cannot adapt to input-dependent bias changes.
 //!
-//! [`StaticPromotionTable::profile`] plays the role of the profiling
-//! compiler: it scans a training instruction stream and marks every
-//! conditional branch whose overall bias exceeds a threshold.
+//! The profiling compiler's role is played by the caller: `tc-sim`'s
+//! branch profiler counts each conditional branch's outcomes over a
+//! training prefix, and every branch biased past a threshold is
+//! [`inserted`](StaticPromotionTable::insert) in its dominant direction.
 
 use std::collections::HashMap;
 
-use tc_isa::{Addr, ExecRecord};
+use tc_isa::Addr;
 
 /// Profile-derived set of statically promoted branches.
 #[derive(Debug, Clone, Default)]
@@ -29,54 +30,8 @@ impl StaticPromotionTable {
         StaticPromotionTable::default()
     }
 
-    /// Profiles a training stream: a branch executed at least
-    /// `min_executions` times whose dominant direction covers at least
-    /// `min_bias` of its executions (e.g. `0.95`) is promoted in that
-    /// direction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `min_bias` is not within `(0.5, 1.0]`.
-    #[must_use]
-    pub fn profile(
-        stream: impl IntoIterator<Item = ExecRecord>,
-        min_executions: u64,
-        min_bias: f64,
-    ) -> StaticPromotionTable {
-        assert!(
-            min_bias > 0.5 && min_bias <= 1.0,
-            "min_bias must be in (0.5, 1.0]"
-        );
-        let mut counts: HashMap<u32, (u64, u64)> = HashMap::new();
-        for rec in stream {
-            if rec.is_cond_branch() {
-                let entry = counts.entry(rec.pc.raw()).or_insert((0, 0));
-                if rec.taken {
-                    entry.0 += 1;
-                } else {
-                    entry.1 += 1;
-                }
-            }
-        }
-        let promoted = counts
-            .into_iter()
-            .filter_map(|(pc, (taken, not_taken))| {
-                let total = taken + not_taken;
-                if total < min_executions {
-                    return None;
-                }
-                let dominant = taken.max(not_taken);
-                if dominant as f64 / total as f64 >= min_bias {
-                    Some((pc, taken >= not_taken))
-                } else {
-                    None
-                }
-            })
-            .collect();
-        StaticPromotionTable { promoted }
-    }
-
-    /// Adds or overrides a single branch (hand-annotation).
+    /// Promotes the branch at `pc` in direction `dir`, replacing any
+    /// earlier direction.
     pub fn insert(&mut self, pc: Addr, dir: bool) {
         self.promoted.insert(pc.raw(), dir);
     }
@@ -103,48 +58,6 @@ impl StaticPromotionTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tc_isa::{Cond, Instr, Reg};
-
-    fn branch_rec(pc: u32, taken: bool) -> ExecRecord {
-        ExecRecord {
-            pc: Addr::new(pc),
-            instr: Instr::Branch {
-                cond: Cond::Eq,
-                rs1: Reg::T0,
-                rs2: Reg::T1,
-                target: Addr::new(0),
-            },
-            next_pc: Addr::new(if taken { 0 } else { pc + 1 }),
-            taken,
-            mem_addr: None,
-        }
-    }
-
-    #[test]
-    fn profile_promotes_only_biased_branches() {
-        let mut stream = Vec::new();
-        // pc 10: 99% taken; pc 20: 50/50; pc 30: biased but rare.
-        for i in 0..100 {
-            stream.push(branch_rec(10, i != 0));
-            stream.push(branch_rec(20, i % 2 == 0));
-        }
-        stream.push(branch_rec(30, true));
-        let table = StaticPromotionTable::profile(stream, 10, 0.95);
-        assert_eq!(table.decision(Addr::new(10)), Some(true));
-        assert_eq!(table.decision(Addr::new(20)), None);
-        assert_eq!(table.decision(Addr::new(30)), None, "below min executions");
-        assert_eq!(table.len(), 1);
-    }
-
-    #[test]
-    fn profile_catches_patterned_bias_the_counter_would_miss() {
-        // T T T N repeated: 75% taken — promotable at min_bias 0.7 even
-        // though no run of consecutive outcomes ever exceeds 3 (a
-        // threshold-8 dynamic bias table would never promote it).
-        let stream: Vec<_> = (0..400).map(|i| branch_rec(40, i % 4 != 3)).collect();
-        let table = StaticPromotionTable::profile(stream, 10, 0.7);
-        assert_eq!(table.decision(Addr::new(40)), Some(true));
-    }
 
     #[test]
     fn insert_overrides() {
@@ -152,11 +65,5 @@ mod tests {
         assert!(t.is_empty());
         t.insert(Addr::new(5), false);
         assert_eq!(t.decision(Addr::new(5)), Some(false));
-    }
-
-    #[test]
-    #[should_panic(expected = "min_bias")]
-    fn profile_validates_bias() {
-        let _ = StaticPromotionTable::profile(Vec::new(), 1, 0.4);
     }
 }

@@ -9,36 +9,7 @@ pub const MAX_SEGMENT_INSTS: usize = 16;
 /// Maximum *non-promoted* conditional branches per segment.
 pub const MAX_SEGMENT_BRANCHES: usize = 3;
 
-/// Why the fill unit finalized a segment. Feeds the fetch-termination
-/// histogram of the paper's Figures 4 and 6.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SegEndReason {
-    /// Reached 16 instructions exactly.
-    MaxSize,
-    /// Reached the three-branch limit.
-    MaxBranches,
-    /// The next retired block did not fit and the policy kept blocks
-    /// atomic (no packing, or regulation refused the split).
-    AtomicBlock,
-    /// A performed packing split closed the segment without filling the
-    /// line (chunk-granularity packing can leave a non-full line).
-    Packed,
-    /// A return, indirect jump/call, or serializing trap forced the
-    /// segment to end.
-    RetIndTrap,
-}
-
-impl From<SegEndReason> for tc_trace::FillEnd {
-    fn from(reason: SegEndReason) -> tc_trace::FillEnd {
-        match reason {
-            SegEndReason::MaxSize => tc_trace::FillEnd::MaxSize,
-            SegEndReason::MaxBranches => tc_trace::FillEnd::MaxBranches,
-            SegEndReason::AtomicBlock => tc_trace::FillEnd::AtomicBlock,
-            SegEndReason::Packed => tc_trace::FillEnd::Packed,
-            SegEndReason::RetIndTrap => tc_trace::FillEnd::RetIndTrap,
-        }
-    }
-}
+pub use tc_trace::SegEndReason;
 
 /// One instruction within a trace segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

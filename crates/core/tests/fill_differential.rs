@@ -14,14 +14,14 @@
 //! event streams, trace-cache and sanitizer state must agree as well.
 //! A mismatch names the case's seed and the step.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 use tc_core::{
-    CheckSite, FillStats, FillUnit, FrontEnd, FrontEndConfig, PackingPolicy, PromotionConfig,
-    Sanitizer, SegEndReason, SegmentInst, StaticPromotionTable, TraceCache, TraceCacheConfig,
-    TraceSegment, ViolationKind,
+    CheckSite, FillStats, FillUnit, FrontEnd, FrontEndConfig, PackingPolicy, Sanitizer,
+    SegEndReason, SegmentInst, StaticPromotionTable, TraceCache, TraceCacheConfig, TraceSegment,
+    ViolationKind,
 };
-use tc_isa::{ExecRecord, Instr};
+use tc_isa::{Addr, ExecRecord, Instr};
 use tc_predict::{BiasConfig, BiasTable};
 use tc_trace::{FaultLocus, RingTracer, TraceEvent, Tracer};
 use tc_workloads::rng::{Rng, Xoshiro256PlusPlus};
@@ -349,6 +349,25 @@ fn workloads() -> Vec<Workload> {
     ]
 }
 
+/// Statically promotes every branch of `training` that executes at least
+/// four times, at least `min_bias` of them in one direction.
+fn static_table(training: &[ExecRecord], min_bias: f64) -> StaticPromotionTable {
+    let mut counts: HashMap<Addr, (u64, u64)> = HashMap::new();
+    for rec in training.iter().filter(|rec| rec.is_cond_branch()) {
+        let (taken, executed) = counts.entry(rec.pc).or_default();
+        *taken += u64::from(rec.taken);
+        *executed += 1;
+    }
+    let mut table = StaticPromotionTable::new();
+    for (pc, (taken, executed)) in counts {
+        let dominant = taken.max(executed - taken);
+        if executed >= 4 && dominant as f64 / executed as f64 >= min_bias {
+            table.insert(pc, taken >= executed - taken);
+        }
+    }
+    table
+}
+
 /// One seeded case: a window of a workload's retire stream, a promotion
 /// source, and the retire steps after which a stalled-fill fault hits.
 struct Case {
@@ -375,7 +394,7 @@ impl Case {
         });
         let table = matches!(promotion, Promotion::Static).then(|| {
             let min_bias = [0.6, 0.8, 0.95][r.gen_range(0usize..3)];
-            StaticPromotionTable::profile(stream[..STREAM / 2].iter().copied(), 4, min_bias)
+            static_table(&stream[..STREAM / 2], min_bias)
         });
         let rate = [0.0, 0.002, 0.02][r.gen_range(0usize..3)];
         let drops = (0..stream.len()).map(|_| r.gen_bool(rate)).collect();
@@ -538,10 +557,7 @@ fn check_front_end(case: &Case, policy: PackingPolicy) {
     let config = FrontEndConfig {
         trace_cache: Some(tc_config),
         packing: policy,
-        promotion: case.bias.map(|bias| PromotionConfig {
-            bias,
-            ..PromotionConfig::paper(64)
-        }),
+        promotion: case.bias,
         sanitize: true,
         ..FrontEndConfig::baseline()
     };

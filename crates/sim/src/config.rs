@@ -289,12 +289,12 @@ impl SimConfig {
                 label.push_str(&format!("+tc{}", tc.entries));
             }
         }
-        if let Some(p) = &self.front_end.promotion {
-            if p.bias.entries != 8192 || !p.bias.tagged {
+        if let Some(bias) = &self.front_end.promotion {
+            if bias.entries != 8192 || !bias.tagged {
                 label.push_str(&format!(
                     "+bias{}{}",
-                    p.bias.entries,
-                    if p.bias.tagged { "" } else { "u" }
+                    bias.entries,
+                    if bias.tagged { "" } else { "u" }
                 ));
             }
         }

@@ -8,12 +8,13 @@
 //!   presets (`icache`, `baseline`, `packing`, `promotion`,
 //!   `promo-pack`, `headline`, …). CLI parsing and `list` output are
 //!   generated from it, so a preset added here appears everywhere.
-//! * [`runner`] — the parallel matrix runner: executes independent
-//!   `(benchmark, configuration)` cells on scoped worker threads with
-//!   deterministic, caller-ordered result collection, plus the memoizing
-//!   [`MatrixRunner`] that `tw paper` drives. Worker count
-//!   comes from `--jobs` flags or the `TW_JOBS` environment variable
-//!   (see [`default_jobs`]).
+//! * [`runner`] — the parallel matrix runner: one pool of scoped worker
+//!   threads runs independent `(benchmark, configuration)` cells with
+//!   deterministic, caller-ordered result collection, under
+//!   [`run_matrix`], [`run_matrix_with`] and the memoizing
+//!   [`MatrixRunner`] that `tw paper` drives. The worker count comes
+//!   from `--jobs`, else the machine's parallelism (see
+//!   [`default_jobs`]).
 //! * [`json`] — a hand-rolled JSON report emitter (the workspace builds
 //!   offline with no external crates) for [`SimReport`] and friends.
 //! * [`parse`] — the matching reader: a small recursive-descent JSON
@@ -74,11 +75,10 @@ pub use lint::{
     lint_all, lint_benchmark, lint_entry_to_json, lint_errors, lint_table, lint_to_json, LintEntry,
 };
 pub use parse::{parse_json, Value};
-pub use registry::{lookup, preset, presets, standard_five, ConfigPreset, STANDARD_FIVE};
-pub use runner::{
-    default_jobs, run_matrix, run_matrix_watchdog, try_default_jobs, validate_jobs, MatrixRunner,
-    MAX_JOBS,
+pub use registry::{
+    find_bench, lookup, preset, presets, standard_five, ConfigPreset, STANDARD_FIVE,
 };
+pub use runner::{default_jobs, run_matrix, run_matrix_with, MatrixRunner, MAX_JOBS};
 pub use serve::{ServeConfig, ServeSummary, Server};
 pub use table::{f2, mean, pct, percent_change, Table};
 pub use trace::{

@@ -3,9 +3,10 @@
 //! Every driver — `tw`, `paper`, the examples — resolves configuration
 //! names through this table, and `tw list` prints it. Adding a preset
 //! here is the whole job: parsing, listing, and the standard comparison
-//! set all follow.
+//! set all follow. Workload names resolve through [`find_bench`].
 
 use tc_core::PackingPolicy;
+use tc_workloads::WorkloadId;
 
 use crate::config::SimConfig;
 
@@ -99,6 +100,14 @@ pub fn preset(name: &str) -> Option<&'static ConfigPreset> {
 #[must_use]
 pub fn lookup(name: &str) -> Option<SimConfig> {
     preset(name).map(ConfigPreset::build)
+}
+
+/// Finds a workload of either family by name or short name.
+#[must_use]
+pub fn find_bench(name: &str) -> Option<WorkloadId> {
+    WorkloadId::all()
+        .into_iter()
+        .find(|b| b.name() == name || b.short_name() == name)
 }
 
 /// The five standard front ends of Figure 10, in column order.

@@ -8,8 +8,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::Mutex;
 
 use tc_workloads::{Benchmark, Workload, WorkloadId};
 
@@ -22,56 +21,10 @@ use crate::report::SimReport;
 /// threads aborts the process long before it simulates anything.
 pub const MAX_JOBS: usize = 1024;
 
-/// The worker-thread count: an explicit request, else the `TW_JOBS`
-/// environment variable, else the machine's available parallelism.
-///
-/// Library fallback form: a malformed `TW_JOBS` is ignored. Drivers
-/// that own a user-facing contract (the `tw` binary) should call
-/// [`try_default_jobs`] instead, which reports the malformation.
+/// The default worker-thread count: the machine's available
+/// parallelism.
 #[must_use]
 pub fn default_jobs() -> usize {
-    try_default_jobs().unwrap_or_else(|_| available_jobs())
-}
-
-/// Strict form of [`default_jobs`]: a `TW_JOBS` that is set but
-/// malformed — unparseable, zero, or past [`MAX_JOBS`] — is an error
-/// instead of a silent fallback.
-///
-/// # Errors
-///
-/// Returns a one-line description of the malformed `TW_JOBS` value.
-pub fn try_default_jobs() -> Result<usize, String> {
-    match std::env::var("TW_JOBS") {
-        Err(std::env::VarError::NotPresent) => Ok(available_jobs()),
-        Err(std::env::VarError::NotUnicode(_)) => {
-            Err("TW_JOBS: value is not valid UTF-8".to_string())
-        }
-        Ok(raw) => {
-            validate_jobs(raw.trim().parse().map_err(|_| {
-                format!("TW_JOBS: bad value {:?} (want a thread count)", raw.trim())
-            })?)
-            .map_err(|e| format!("TW_JOBS: {e}"))
-        }
-    }
-}
-
-/// Validates a requested worker count against the `1..=MAX_JOBS`
-/// contract shared by `--jobs` and `TW_JOBS`.
-///
-/// # Errors
-///
-/// Returns the reason the count is outside the accepted range.
-pub fn validate_jobs(jobs: usize) -> Result<usize, String> {
-    if jobs == 0 {
-        Err("must be at least 1".to_string())
-    } else if jobs > MAX_JOBS {
-        Err(format!("{jobs} exceeds the {MAX_JOBS}-thread cap"))
-    } else {
-        Ok(jobs)
-    }
-}
-
-fn available_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
@@ -87,29 +40,53 @@ pub fn run_matrix<W: Into<WorkloadId> + Copy>(
     cells: &[(W, SimConfig)],
     jobs: usize,
 ) -> Vec<SimReport> {
+    run_matrix_with(cells, jobs, simulate)
+}
+
+/// [`run_matrix`] with `run` as the per-cell function in place of a
+/// plain simulation (`tw compare --timeline` passes a traced run).
+#[must_use]
+pub fn run_matrix_with<W: Into<WorkloadId> + Copy, R: Send>(
+    cells: &[(W, SimConfig)],
+    jobs: usize,
+    run: impl Fn(SimConfig, &Workload) -> R + Sync,
+) -> Vec<R> {
     let cells: Vec<(WorkloadId, SimConfig)> = cells
         .iter()
         .map(|(w, c)| ((*w).into(), c.clone()))
         .collect();
-    let mut workloads: HashMap<&'static str, Workload> = HashMap::new();
-    for (bench, _) in &cells {
+    let mut workloads = HashMap::new();
+    build_workloads(&mut workloads, &cells);
+    run_cells(&cells, &workloads, jobs, run)
+}
+
+fn simulate(config: SimConfig, workload: &Workload) -> SimReport {
+    Processor::new(config).run(workload)
+}
+
+/// Builds every cell's workload not yet in `workloads`.
+fn build_workloads(
+    workloads: &mut HashMap<&'static str, Workload>,
+    cells: &[(WorkloadId, SimConfig)],
+) {
+    for (bench, _) in cells {
         workloads
             .entry(bench.name())
             .or_insert_with(|| bench.build());
     }
-    run_matrix_shared(&cells, &workloads, jobs)
 }
 
-/// [`run_matrix`] against pre-built workloads (every cell's workload
-/// must be present in `workloads`).
-fn run_matrix_shared(
+/// The one worker pool: `jobs` scoped threads take cells in order from
+/// a shared counter and store each result in the cell's slot.
+fn run_cells<R: Send>(
     cells: &[(WorkloadId, SimConfig)],
     workloads: &HashMap<&'static str, Workload>,
     jobs: usize,
-) -> Vec<SimReport> {
+    run: impl Fn(SimConfig, &Workload) -> R + Sync,
+) -> Vec<R> {
     let jobs = jobs.clamp(1, cells.len().max(1));
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<SimReport>>> = cells.iter().map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<R>>> = cells.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..jobs {
             scope.spawn(|| loop {
@@ -117,10 +94,9 @@ fn run_matrix_shared(
                 let Some((bench, config)) = cells.get(i) else {
                     break;
                 };
-                let workload = &workloads[bench.name()];
-                let report = Processor::new(config.clone()).run(workload);
+                let result = run(config.clone(), &workloads[bench.name()]);
                 if let Ok(mut slot) = slots[i].lock() {
-                    *slot = Some(report);
+                    *slot = Some(result);
                 }
             });
         }
@@ -128,79 +104,12 @@ fn run_matrix_shared(
     slots
         .into_iter()
         .map(|slot| match slot.into_inner() {
-            Ok(Some(report)) => report,
+            Ok(Some(result)) => result,
             // Scoped workers fill every slot or propagate their panic
             // before the scope returns.
             _ => unreachable!("scoped worker left its result slot empty"),
         })
         .collect()
-}
-
-/// [`run_matrix`] with a progress watchdog.
-///
-/// With `timeout == None` this is exactly `run_matrix` (same threads,
-/// same order, bit-identical reports), each cell wrapped in `Some`.
-/// With a timeout, cells run on *detached* workers and completed
-/// reports stream back over a channel; whenever no cell completes for
-/// `timeout`, the remaining cells are declared hung and returned as
-/// `None` — a wedged simulation can no longer pin the whole matrix
-/// (the stuck threads are abandoned; they die with the process).
-#[must_use]
-pub fn run_matrix_watchdog<W: Into<WorkloadId> + Copy>(
-    cells: &[(W, SimConfig)],
-    jobs: usize,
-    timeout: Option<Duration>,
-) -> Vec<Option<SimReport>> {
-    let Some(timeout) = timeout else {
-        return run_matrix(cells, jobs).into_iter().map(Some).collect();
-    };
-    let cells: Vec<(WorkloadId, SimConfig)> = cells
-        .iter()
-        .map(|(w, c)| ((*w).into(), c.clone()))
-        .collect();
-    let jobs = jobs.clamp(1, cells.len().max(1));
-    let mut workloads: HashMap<&'static str, Workload> = HashMap::new();
-    for (bench, _) in &cells {
-        workloads
-            .entry(bench.name())
-            .or_insert_with(|| bench.build());
-    }
-    let cells: Arc<Vec<(WorkloadId, SimConfig)>> = Arc::new(cells);
-    let workloads = Arc::new(workloads);
-    let next = Arc::new(AtomicUsize::new(0));
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, SimReport)>();
-    for _ in 0..jobs {
-        let cells = Arc::clone(&cells);
-        let workloads = Arc::clone(&workloads);
-        let next = Arc::clone(&next);
-        let tx = tx.clone();
-        std::thread::spawn(move || loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some((bench, config)) = cells.get(i) else {
-                break;
-            };
-            let report = Processor::new(config.clone()).run(&workloads[bench.name()]);
-            if tx.send((i, report)).is_err() {
-                break;
-            }
-        });
-    }
-    drop(tx);
-    let mut out: Vec<Option<SimReport>> = cells.iter().map(|_| None).collect();
-    let mut received = 0usize;
-    while received < out.len() {
-        match rx.recv_timeout(timeout) {
-            Ok((i, report)) => {
-                out[i] = Some(report);
-                received += 1;
-            }
-            // Timed out with cells outstanding, or every worker exited
-            // without delivering them (a worker panic closes its
-            // sender): the missing cells stay `None`.
-            Err(_) => break,
-        }
-    }
-    out
 }
 
 /// The memoizing experiment runner: many figures share configurations,
@@ -246,12 +155,8 @@ impl MatrixRunner {
         if missing.is_empty() {
             return;
         }
-        for (bench, _) in &missing {
-            self.workloads
-                .entry(bench.name())
-                .or_insert_with(|| bench.build());
-        }
-        let reports = run_matrix_shared(&missing, &self.workloads, self.jobs);
+        build_workloads(&mut self.workloads, &missing);
+        let reports = run_cells(&missing, &self.workloads, self.jobs, simulate);
         for ((bench, config), report) in missing.into_iter().zip(reports) {
             self.cache.insert((bench.name(), config.label()), report);
         }
@@ -281,22 +186,4 @@ impl MatrixRunner {
             .map(|b| self.cache[&(b.name(), label.clone())].clone())
             .collect()
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn jobs_validation_enforces_the_range_contract() {
-        assert!(validate_jobs(0).is_err());
-        assert_eq!(validate_jobs(1), Ok(1));
-        assert_eq!(validate_jobs(MAX_JOBS), Ok(MAX_JOBS));
-        let over = validate_jobs(MAX_JOBS + 1).unwrap_err();
-        assert!(over.contains("cap"), "{over}");
-    }
-
-    // `TW_JOBS` environment handling is contract-tested end-to-end in
-    // the root `tests/cli.rs` (subprocess isolation); mutating the
-    // process environment here would race the other harness tests.
 }

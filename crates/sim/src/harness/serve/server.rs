@@ -82,7 +82,7 @@ impl Default for ServeConfig {
             max_conns: 256,
             max_body: 1024 * 1024,
             max_insts: 100_000_000,
-            default_insts: 2_000_000,
+            default_insts: crate::DEFAULT_MAX_INSTS,
             cache_dir: None,
             cache_disk_entries: 65_536,
             read_timeout: Duration::from_secs(10),

@@ -149,12 +149,6 @@ fn allowed_fields(kind: JobKind) -> &'static [&'static str] {
     }
 }
 
-fn find_bench(name: &str) -> Option<WorkloadId> {
-    WorkloadId::all()
-        .into_iter()
-        .find(|b| b.name() == name || b.short_name() == name)
-}
-
 fn bad(msg: impl Into<String>) -> TwError {
     TwError::usage(msg.into())
 }
@@ -221,7 +215,7 @@ pub fn parse_job(kind: JobKind, body: &[u8], limits: &JobLimits) -> Result<JobSp
             ))
         })?,
     )?;
-    let bench = find_bench(bench_name).ok_or_else(|| {
+    let bench = registry::find_bench(bench_name).ok_or_else(|| {
         bad(format!(
             "unknown benchmark {bench_name:?} (see GET /v1/workloads)"
         ))

@@ -43,7 +43,7 @@ mod report;
 
 pub mod harness;
 
-pub use config::{ExecutionMode, SimConfig};
+pub use config::{ExecutionMode, SimConfig, DEFAULT_MAX_INSTS};
 pub use plan::{PlanEntry, PlanStats, PromotionPlan};
 pub use processor::Processor;
 pub use report::{CycleAccounting, SamplingStats, SimReport};

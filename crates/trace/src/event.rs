@@ -2,34 +2,35 @@
 
 use tc_isa::Addr;
 
-/// Why the fill unit finalized a segment.
-///
-/// Mirrors `tc_core::SegEndReason` (this crate sits *below* `tc-core` in
-/// the dependency graph, so the core converts when emitting).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FillEnd {
+/// Why the fill unit finalized a segment. Feeds the fetch-termination
+/// histogram of the paper's Figures 4 and 6; `tc-core` re-exports it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum SegEndReason {
     /// Reached 16 instructions exactly.
     MaxSize,
     /// Reached the three-branch limit.
     MaxBranches,
-    /// The next retired block did not fit and stayed atomic.
+    /// The next retired block did not fit and the policy kept blocks
+    /// atomic (no packing, or regulation refused the split).
     AtomicBlock,
-    /// A performed packing split closed a non-full line.
+    /// A performed packing split closed the segment without filling the
+    /// line (chunk-granularity packing can leave a non-full line).
     Packed,
-    /// A return, indirect jump/call, or trap ended the segment.
+    /// A return, indirect jump/call, or serializing trap forced the
+    /// segment to end.
     RetIndTrap,
 }
 
-impl FillEnd {
+impl SegEndReason {
     /// Short lower-case label (used by the Chrome export).
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
-            FillEnd::MaxSize => "max_size",
-            FillEnd::MaxBranches => "max_branches",
-            FillEnd::AtomicBlock => "atomic_block",
-            FillEnd::Packed => "packed",
-            FillEnd::RetIndTrap => "ret_ind_trap",
+            SegEndReason::MaxSize => "max_size",
+            SegEndReason::MaxBranches => "max_branches",
+            SegEndReason::AtomicBlock => "atomic_block",
+            SegEndReason::Packed => "packed",
+            SegEndReason::RetIndTrap => "ret_ind_trap",
         }
     }
 }
@@ -233,7 +234,7 @@ pub enum TraceEvent {
         /// Promoted branches embedded.
         promoted: u8,
         /// Why the segment ended.
-        reason: FillEnd,
+        reason: SegEndReason,
     },
     /// A packing split was performed on an overflowing block.
     PackPerformed {

@@ -34,8 +34,8 @@ mod timeline;
 mod tracer;
 
 pub use event::{
-    DemotionCause, EventKind, ExecPhase, FaultLocus, FetchOrigin, FillEnd, PackVerdict, TraceEvent,
-    EVENT_KIND_COUNT,
+    DemotionCause, EventKind, ExecPhase, FaultLocus, FetchOrigin, PackVerdict, SegEndReason,
+    TraceEvent, EVENT_KIND_COUNT,
 };
 pub use timeline::{IntervalStats, Timeline};
 pub use tracer::{EventFilter, NoopTracer, RingTracer, TraceRecord, TraceSummary, Tracer};

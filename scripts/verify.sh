@@ -239,7 +239,6 @@ expect_exit 2 target/release/tw frobnicate
 expect_exit 2 target/release/tw sim --bench gcc --config no-such-preset
 expect_exit 2 target/release/tw faults --workload gcc --rate -1
 expect_exit 2 target/release/tw serve --jobs 0
-expect_exit 2 env TW_JOBS=banana target/release/tw list
 expect_exit 2 target/release/tw paper fig99
 expect_exit 2 target/release/tw sim --bench gcc --config baseline --rate 1e-3
 bad_asm="$(mktemp -t tw-bad-asm.XXXXXX.s)"

@@ -12,19 +12,16 @@
 
 use std::env;
 use std::process::ExitCode;
-use std::time::Duration;
 
 use trace_weave::bench::{compare, paper, suite};
 use trace_weave::fault::{FaultLocus, FaultPlan};
 use trace_weave::sim::harness::{
-    self, presets, report_to_json, reports_to_json, run_matrix, run_matrix_watchdog, run_traced,
+    self, presets, report_to_json, reports_to_json, run_matrix, run_matrix_with, run_traced,
     timeline_table, MatrixRunner, TraceOptions, TwError,
 };
-use trace_weave::sim::{SimConfig, SimReport};
+use trace_weave::sim::{SimConfig, SimReport, DEFAULT_MAX_INSTS};
 use trace_weave::trace::EventFilter;
 use trace_weave::workloads::{Benchmark, RvBench, WorkloadId};
-
-const DEFAULT_INSTS: u64 = 2_000_000;
 
 /// How a flag's value is checked; every value is checked before the
 /// subcommand runs.
@@ -35,8 +32,6 @@ enum Kind {
     Text,
     /// An unsigned integer in `min..=max`.
     Uint(u64, u64),
-    /// A worker count, checked by [`harness::validate_jobs`] as `TW_JOBS` is.
-    Jobs,
     Positive,
     NonNegative,
     /// `MEASURE/PERIOD` with `0 < MEASURE <= PERIOD`.
@@ -70,7 +65,7 @@ const FLAGS: &[Flag] = &[
     flag(&["--bench", "--workload"], "NAME", Kind::Workload),
     flag(&["--config", "--preset"], "NAME", Kind::Preset),
     flag(&["--insts"], "N", ANY),
-    flag(&["--jobs"], "N", Kind::Jobs),
+    flag(&["--jobs"], "N", Kind::Uint(1, harness::MAX_JOBS as u64)),
     flag(&["--json"], "", Kind::Switch),
     flag(&["--out"], "FILE", Kind::Text),
     flag(&["--plan"], "FILE|auto", Kind::Text),
@@ -85,7 +80,6 @@ const FLAGS: &[Flag] = &[
     flag(&["--rate", "--fault-rate"], "R", Kind::Positive),
     flag(&["--at-cycles"], "C1,C2,...", Kind::Cycles),
     flag(&["--targets"], "LIST", Kind::Text),
-    flag(&["--timeout-secs"], "N", COUNT),
     flag(&["--check"], "FILE", Kind::Text),
     flag(&["--events"], "FILTER", Kind::Text),
     flag(&["--limit"], "N", ANY),
@@ -155,10 +149,9 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "compare",
         synopsis: "--bench! --insts --jobs --perfect-mem --json --timeline --interval \
-                   --plan --fault-rate --fault-seed --at-cycles --targets --timeout-secs",
+                   --plan --fault-rate --fault-seed --at-cycles --targets",
         about: "compare the five standard configurations on one benchmark; --fault-rate \
-                or --at-cycles attaches a fault plan to every cell; --timeout-secs \
-                abandons cells that stop making progress",
+                or --at-cycles attaches a fault plan to every cell",
         run: cmd_compare,
     },
     Command {
@@ -272,15 +265,13 @@ struct Args {
     command: &'static Command,
     operands: Vec<String>,
     values: Vec<(&'static Flag, Value)>,
-    /// `TW_JOBS` or the machine's parallelism, for `--jobs` unset.
-    default_jobs: usize,
 }
 
 impl Args {
     /// Resolves the subcommand and checks every argument against its
     /// declaration: each flag is declared and has its values, then the
     /// operand count, each value, and the required flags.
-    fn parse(args: &[String], default_jobs: usize) -> Result<Args, TwError> {
+    fn parse(args: &[String]) -> Result<Args, TwError> {
         let first = args.first().map_or("", String::as_str);
         let second = args.get(1).map_or("", String::as_str);
         let (command, rest) = if let Some(c) = COMMANDS.iter().find(|c| c.name == first) {
@@ -344,7 +335,6 @@ impl Args {
             command,
             operands,
             values,
-            default_jobs,
         };
         match command
             .flags()
@@ -393,7 +383,7 @@ impl Args {
 
     fn jobs(&self) -> usize {
         self.uint("--jobs")
-            .map_or(self.default_jobs, |n| n as usize)
+            .map_or_else(harness::default_jobs, |n| n as usize)
     }
 
     fn workload(&self) -> Result<WorkloadId, TwError> {
@@ -488,10 +478,6 @@ fn check(kind: Kind, spelled: &str, args: &[String]) -> Result<Value, TwError> {
             }
             Value::Uint(n)
         }
-        Kind::Jobs => {
-            let n: usize = raw.parse().map_err(|_| bad())?;
-            Value::Uint(harness::validate_jobs(n).map_err(usage)? as u64)
-        }
         Kind::Positive => match real()? {
             x if x > 0.0 => Value::Real(x),
             _ => return Err(usage("must be positive".into())),
@@ -531,7 +517,8 @@ fn check(kind: Kind, spelled: &str, args: &[String]) -> Result<Value, TwError> {
         }
         Kind::Pair => Value::Pair(raw.to_string(), args[1].clone()),
         Kind::Workload => Value::Workload(
-            parse_bench(raw).ok_or_else(|| TwError::usage(format!("unknown workload {raw:?}")))?,
+            harness::find_bench(raw)
+                .ok_or_else(|| TwError::usage(format!("unknown workload {raw:?}")))?,
         ),
         Kind::Preset => {
             Value::Config(Box::new(harness::lookup(raw).ok_or_else(|| {
@@ -640,10 +627,7 @@ fn run(args: &[String]) -> Result<ExitCode, TwError> {
         }
         Some(_) => {}
     }
-    // Strict: a set-but-malformed TW_JOBS is a usage error, not a
-    // silent fallback.
-    let default_jobs = harness::try_default_jobs().map_err(TwError::usage)?;
-    let args = Args::parse(args, default_jobs)?;
+    let args = Args::parse(args)?;
     (args.command.run)(&args)
 }
 
@@ -703,12 +687,6 @@ fn cmd_rv(a: &Args) -> Result<ExitCode, TwError> {
     );
     println!("address-taken      {} target(s)", image.indirect.len());
     Ok(ExitCode::SUCCESS)
-}
-
-fn parse_bench(name: &str) -> Option<WorkloadId> {
-    WorkloadId::all()
-        .into_iter()
-        .find(|b| b.name() == name || b.short_name() == name)
 }
 
 fn print_report(r: &SimReport) {
@@ -798,7 +776,7 @@ fn load_plan(
             let workload = bench.build();
             Ok(Some(harness::build_plan(
                 &workload,
-                a.insts_or(DEFAULT_INSTS),
+                a.insts_or(DEFAULT_MAX_INSTS),
             )?))
         }
         Some(path) => {
@@ -845,7 +823,7 @@ fn cmd_sim(a: &Args) -> Result<ExitCode, TwError> {
         config = config.with_perfect_disambiguation();
     }
     let workload = bench.build();
-    let mut config = a.apply_mode(config.with_max_insts(a.insts_or(DEFAULT_INSTS)))?;
+    let mut config = a.apply_mode(config.with_max_insts(a.insts_or(DEFAULT_MAX_INSTS)))?;
     if let Some(plan) = load_plan(a, bench)? {
         config = config.with_promotion_plan(plan);
     }
@@ -879,7 +857,7 @@ fn cmd_sim(a: &Args) -> Result<ExitCode, TwError> {
 fn cmd_checkpoint_save(a: &Args) -> Result<ExitCode, TwError> {
     let bench = a.workload()?;
     let workload = bench.build();
-    let at = a.insts_or(DEFAULT_INSTS);
+    let at = a.insts_or(DEFAULT_MAX_INSTS);
     let mut machine = workload.machine();
     let blocks = trace_weave::isa::BlockCache::new(workload.program());
     let ran = machine
@@ -914,7 +892,7 @@ fn cmd_checkpoint_restore(a: &Args) -> Result<ExitCode, TwError> {
     let path = a.text("--from").ok_or_else(|| a.missing("--from"))?;
     let text = harness::read_verified(path)?;
     let ckpt = harness::parse_checkpoint(&text)?;
-    let bench = parse_bench(&ckpt.workload).ok_or_else(|| {
+    let bench = harness::find_bench(&ckpt.workload).ok_or_else(|| {
         TwError::runtime(format!(
             "{path}: checkpoint names unknown workload {:?}",
             ckpt.workload
@@ -926,7 +904,7 @@ fn cmd_checkpoint_restore(a: &Args) -> Result<ExitCode, TwError> {
     // reports identically to an unresumed `tw sim --fast-forward n` run.
     let config = a
         .config()?
-        .with_max_insts(a.insts_or(DEFAULT_INSTS))
+        .with_max_insts(a.insts_or(DEFAULT_MAX_INSTS))
         .with_fast_forward(ckpt.retired);
     emit_report(
         a,
@@ -948,7 +926,7 @@ fn cmd_faults(a: &Args) -> Result<ExitCode, TwError> {
         .fault_plan()?
         .ok_or_else(|| TwError::usage("faults: one of --rate or --at-cycles is required"))?;
     let config = config
-        .with_max_insts(a.insts_or(DEFAULT_INSTS))
+        .with_max_insts(a.insts_or(DEFAULT_MAX_INSTS))
         .with_fault_plan(plan);
     emit_report(
         a,
@@ -977,7 +955,7 @@ fn cmd_trace(a: &Args) -> Result<ExitCode, TwError> {
     };
     let workload = bench.build();
     let run = run_traced(
-        config.with_max_insts(a.insts_or(DEFAULT_INSTS)),
+        config.with_max_insts(a.insts_or(DEFAULT_MAX_INSTS)),
         &workload,
         &options,
     );
@@ -1006,7 +984,7 @@ fn cmd_trace(a: &Args) -> Result<ExitCode, TwError> {
 fn cmd_compare(a: &Args) -> Result<ExitCode, TwError> {
     let bench = a.workload()?;
     let fault_plan = a.fault_plan()?;
-    let insts = a.insts_or(DEFAULT_INSTS);
+    let insts = a.insts_or(DEFAULT_MAX_INSTS);
     let promotion_plan = load_plan(a, bench)?;
     let cells: Vec<(WorkloadId, SimConfig)> = harness::standard_five()
         .into_iter()
@@ -1028,51 +1006,33 @@ fn cmd_compare(a: &Args) -> Result<ExitCode, TwError> {
         })
         .collect();
     let timeline = a.switch("--timeline");
-    let mut timelines = Vec::new();
-    let reports: Vec<Option<SimReport>> = if timeline {
-        // Traced runs are serial; the timeline rides on the same
-        // simulation that produces the report.
+    let (reports, timelines): (Vec<SimReport>, Vec<_>) = if timeline {
+        // The timeline rides on the same simulation that produces the
+        // report.
         let options = timeline_options(a);
         let mut reports = Vec::new();
-        for (bench, config) in &cells {
-            let run = run_traced(config.clone(), &bench.build(), &options);
+        let mut timelines = Vec::new();
+        for run in run_matrix_with(&cells, a.jobs(), |config, workload| {
+            run_traced(config, workload, &options)
+        }) {
             let Some(tl) = run.timeline else {
                 return Err(TwError::runtime(
                     "internal error: traced run produced no timeline",
                 ));
             };
+            reports.push(run.report);
             timelines.push(tl);
-            reports.push(Some(run.report));
         }
-        reports
-    } else if let Some(secs) = a.uint("--timeout-secs") {
-        run_matrix_watchdog(&cells, a.jobs(), Some(Duration::from_secs(secs)))
+        (reports, timelines)
     } else {
-        run_matrix(&cells, a.jobs()).into_iter().map(Some).collect()
-    };
-    let hung: Vec<&str> = harness::STANDARD_FIVE
-        .iter()
-        .zip(&reports)
-        .filter(|(_, r)| r.is_none())
-        .map(|(name, _)| *name)
-        .collect();
-    let timed_out = || {
-        TwError::runtime(format!(
-            "{} cell(s) timed out: {}",
-            hung.len(),
-            hung.join(", ")
-        ))
+        (run_matrix(&cells, a.jobs()), Vec::new())
     };
     if a.switch("--json") {
-        if !hung.is_empty() {
-            return Err(timed_out());
-        }
-        let completed: Vec<SimReport> = reports.into_iter().flatten().collect();
         if timeline {
             println!(
                 "{}",
                 harness::Json::Object(vec![
-                    ("reports", reports_to_json(&completed)),
+                    ("reports", reports_to_json(&reports)),
                     (
                         "timelines",
                         harness::Json::Array(
@@ -1083,7 +1043,7 @@ fn cmd_compare(a: &Args) -> Result<ExitCode, TwError> {
                 .pretty()
             );
         } else {
-            println!("{}", reports_to_json(&completed).pretty());
+            println!("{}", reports_to_json(&reports).pretty());
         }
         return Ok(ExitCode::SUCCESS);
     }
@@ -1100,10 +1060,6 @@ fn cmd_compare(a: &Args) -> Result<ExitCode, TwError> {
         );
     }
     for (name, r) in harness::STANDARD_FIVE.iter().zip(&reports) {
-        let Some(r) = r else {
-            println!("{name:12} {:>10}", "timed out");
-            continue;
-        };
         let faults = match &r.fault {
             Some(fs) if with_faults => format!(" {:>6}/{:<3}", fs.injected, fs.escaped),
             _ => String::new(),
@@ -1124,11 +1080,7 @@ fn cmd_compare(a: &Args) -> Result<ExitCode, TwError> {
         );
         print!("{}", timeline_table(tl));
     }
-    if hung.is_empty() {
-        Ok(ExitCode::SUCCESS)
-    } else {
-        Err(timed_out())
-    }
+    Ok(ExitCode::SUCCESS)
 }
 
 fn cmd_lint(a: &Args) -> Result<ExitCode, TwError> {
@@ -1223,7 +1175,7 @@ fn cmd_analyze(a: &Args) -> Result<ExitCode, TwError> {
     }
     let bench = a.workload()?;
     let workload = bench.build();
-    let plan = harness::build_plan(&workload, a.insts_or(DEFAULT_INSTS))?;
+    let plan = harness::build_plan(&workload, a.insts_or(DEFAULT_MAX_INSTS))?;
     let text = harness::plan_to_json(&plan).pretty();
     if let Err(e) = harness::parse_json(&text) {
         return Err(TwError::runtime(format!(
@@ -1367,7 +1319,7 @@ fn cmd_bench(a: &Args) -> Result<ExitCode, TwError> {
 fn cmd_serve(a: &Args) -> Result<ExitCode, TwError> {
     let mut config = harness::ServeConfig {
         workers: a.jobs(),
-        default_insts: a.insts_or(DEFAULT_INSTS),
+        default_insts: a.insts_or(DEFAULT_MAX_INSTS),
         ..harness::ServeConfig::default()
     };
     match (a.text("--addr"), a.uint("--port")) {
@@ -1434,7 +1386,7 @@ fn cmd_paper(a: &Args) -> Result<ExitCode, TwError> {
     let name = &a.operands[0];
     let selected = paper::select(name)
         .ok_or_else(|| TwError::usage(format!("paper: unknown experiment {name:?}")))?;
-    let mut runner = MatrixRunner::new(a.insts_or(DEFAULT_INSTS), a.jobs());
+    let mut runner = MatrixRunner::new(a.insts_or(DEFAULT_MAX_INSTS), a.jobs());
     paper::run(&selected, &mut runner);
     Ok(ExitCode::SUCCESS)
 }

@@ -64,10 +64,6 @@ fn unknown_command_and_flags_are_usage_errors() {
         ]),
         2,
     );
-    assert_diagnostic(
-        &tw(&["compare", "--bench", "gcc", "--timeout-secs", "0"]),
-        2,
-    );
     // Flags another subcommand declares are not accepted here.
     for args in [
         &[
@@ -81,6 +77,7 @@ fn unknown_command_and_flags_are_usage_errors() {
         &["bench", "--smoke", "--jobs", "2"],
         &["bench", "--port", "1"],
         &["paper", "fig4", "--timeline"],
+        &["compare", "--bench", "gcc", "--timeout-secs", "0"],
     ] {
         let out = tw(args);
         assert_usage_error_only(&out);
@@ -405,15 +402,6 @@ fn faults_subcommand_reports_deterministic_counters() {
     let _ = run("12");
 }
 
-/// `tw` with an overridden `TW_JOBS` environment value.
-fn tw_env(args: &[&str], key: &str, value: &str) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_tw"))
-        .args(args)
-        .env(key, value)
-        .output()
-        .expect("tw binary runs")
-}
-
 #[test]
 fn jobs_flag_enforces_the_range_contract() {
     assert_diagnostic(&tw(&["compare", "--bench", "gcc", "--jobs", "0"]), 2);
@@ -426,19 +414,25 @@ fn jobs_flag_enforces_the_range_contract() {
 }
 
 #[test]
-fn malformed_tw_jobs_is_a_usage_error_not_a_silent_fallback() {
-    // `list` exercises flag parsing without simulating anything.
-    assert_diagnostic(&tw_env(&["list"], "TW_JOBS", "abc"), 2);
-    assert_diagnostic(&tw_env(&["list"], "TW_JOBS", "0"), 2);
-    assert_diagnostic(&tw_env(&["list"], "TW_JOBS", "1000000"), 2);
-    let err = stderr_line(&tw_env(&["list"], "TW_JOBS", "abc"));
-    assert!(err.contains("TW_JOBS"), "names the variable: {err}");
-    // `paper` reads the same variable for its default job count.
-    assert_usage_error_only(&tw_env(&["paper", "fig4"], "TW_JOBS", "banana"));
-
-    // Benign spellings still work: unset, empty-trimmed digits, spaces.
-    let ok = tw_env(&["list"], "TW_JOBS", " 8 ");
-    assert_eq!(ok.status.code(), Some(0), "stderr: {}", stderr_line(&ok));
+fn compare_timeline_output_does_not_depend_on_jobs() {
+    let run = |jobs: &str| {
+        let out = tw(&[
+            "compare",
+            "--bench",
+            "li",
+            "--insts",
+            "50000",
+            "--timeline",
+            "--json",
+            "--jobs",
+            jobs,
+        ]);
+        assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_line(&out));
+        out.stdout
+    };
+    let serial = run("1");
+    assert!(!serial.is_empty());
+    assert!(serial == run("3"), "--jobs 3 output differs from --jobs 1");
 }
 
 fn temp_bytes(name: &str, contents: &[u8]) -> PathBuf {
