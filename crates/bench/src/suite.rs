@@ -240,16 +240,18 @@ fn timed_run(
     workload: &tc_workloads::Workload,
     samples: u32,
 ) -> (SimReport, u64) {
-    let mut best_ns = u64::MAX;
-    let mut report = None;
-    for _ in 0..samples.max(1) {
+    let run = || {
         let start = Instant::now();
-        let r = Processor::new(config.clone()).run(workload);
+        let report = Processor::new(config.clone()).run(workload);
         let elapsed = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        best_ns = best_ns.min(elapsed.max(1));
-        report = Some(r);
+        (report, elapsed.max(1))
+    };
+    let (mut report, mut best_ns) = run();
+    for _ in 1..samples {
+        let (r, ns) = run();
+        (report, best_ns) = (r, best_ns.min(ns));
     }
-    (report.expect("samples >= 1"), best_ns)
+    (report, best_ns)
 }
 
 /// Runs one preset's sampled-vs-full probe on [`Benchmark::Compress`]

@@ -231,124 +231,3 @@ mod tests {
         assert_eq!(r.evicted, Some(a));
     }
 }
-
-/// Differential test: the flat tag store against a reference copy of the
-/// per-set MRU lists it replaced, under seeded operation sequences.
-#[cfg(test)]
-mod differential {
-    use super::*;
-    use tc_workloads::rng::{Rng, Xoshiro256PlusPlus};
-
-    /// The previous tag store: each set a `Vec` of tags, most recently
-    /// used first, with set and tag found by division.
-    struct Reference {
-        config: CacheConfig,
-        sets: Vec<Vec<u64>>,
-        stats: CacheStats,
-    }
-
-    impl Reference {
-        fn locate(&self, addr: u64) -> (usize, u64) {
-            let line = addr / self.config.line_bytes;
-            let sets = self.config.sets as u64;
-            ((line % sets) as usize, line / sets)
-        }
-
-        fn access(&mut self, addr: u64) -> AccessResult {
-            let (si, tag) = self.locate(addr);
-            let (sets, line_bytes) = (self.config.sets as u64, self.config.line_bytes);
-            let set = &mut self.sets[si];
-            if let Some(pos) = set.iter().position(|&t| t == tag) {
-                set.remove(pos);
-                set.insert(0, tag);
-                self.stats.hits += 1;
-                return AccessResult {
-                    hit: true,
-                    evicted: None,
-                };
-            }
-            self.stats.misses += 1;
-            let evicted = (set.len() == self.config.ways).then(|| {
-                self.stats.evictions += 1;
-                let victim = set.pop().expect("full set");
-                (victim * sets + si as u64) * line_bytes
-            });
-            set.insert(0, tag);
-            AccessResult {
-                hit: false,
-                evicted,
-            }
-        }
-
-        fn probe(&self, addr: u64) -> bool {
-            let (si, tag) = self.locate(addr);
-            self.sets[si].contains(&tag)
-        }
-
-        fn invalidate(&mut self, addr: u64) -> bool {
-            let (si, tag) = self.locate(addr);
-            let set = &mut self.sets[si];
-            let pos = set.iter().position(|&t| t == tag);
-            pos.map(|pos| set.remove(pos)).is_some()
-        }
-    }
-
-    /// The cache's resident tags, set by set, most recently used first.
-    fn contents(c: &SetAssocCache) -> Vec<Vec<u64>> {
-        let ways = c.config.ways;
-        (0..c.config.sets)
-            .map(|si| c.tags[si * ways..si * ways + c.lens[si] as usize].to_vec())
-            .collect()
-    }
-
-    fn run(config: CacheConfig, seed: u64, steps: usize) {
-        let mut r = Xoshiro256PlusPlus::seed_from_u64(seed);
-        let mut c = SetAssocCache::new(config);
-        let mut reference = Reference {
-            config,
-            sets: vec![Vec::new(); config.sets],
-            stats: CacheStats::default(),
-        };
-        // Three lines per way of the cache, so sets conflict often.
-        let span = 3 * config.capacity_bytes();
-        for step in 0..steps {
-            let addr = r.gen_range(0..span);
-            let op = r.gen_range(0u32..100);
-            let at = format!("{config:?} seed {seed} step {step} op {op} addr {addr:#x}");
-            match op {
-                0..=69 => assert_eq!(c.access(addr), reference.access(addr), "{at}: access"),
-                70..=84 => assert_eq!(c.probe(addr), reference.probe(addr), "{at}: probe"),
-                85..=97 => assert_eq!(
-                    c.invalidate(addr),
-                    reference.invalidate(addr),
-                    "{at}: invalidate"
-                ),
-                _ => {
-                    c.flush();
-                    reference.sets.iter_mut().for_each(Vec::clear);
-                }
-            }
-            assert_eq!(*c.stats(), reference.stats, "{at}: stats");
-            assert_eq!(contents(&c), reference.sets, "{at}: contents (MRU order)");
-            assert_eq!(
-                c.resident_lines(),
-                reference.sets.iter().map(Vec::len).sum::<usize>(),
-                "{at}: resident_lines"
-            );
-        }
-    }
-
-    #[test]
-    fn matches_the_per_set_mru_lists() {
-        for ways in [1, 2, 4] {
-            for sets in [1, 2, 8] {
-                for line_bytes in [16, 64] {
-                    let config = CacheConfig::new(sets, ways, line_bytes);
-                    for seed in 0..10 {
-                        run(config, 0x5E7A_0000 + seed, 500);
-                    }
-                }
-            }
-        }
-    }
-}

@@ -1043,99 +1043,61 @@ impl<T: Tracer> FrontEnd<T> {
         }
     }
 
-    // ---- Fault-application hooks ------------------------------------
-    //
-    // Driven by the tc-sim fault injector: each applies one fault to a
-    // live front-end structure, emits a `FaultInjected` event when it
-    // lands, and reports whether it landed (a target can be empty or
-    // unconfigured). The front end itself stays fault-agnostic — it
-    // holds no injection policy, only these entropy-driven mutators.
-
-    /// Corrupts one resident trace-cache segment in place. Returns the
-    /// corrupted line's start address when a line was resident.
-    pub fn fault_corrupt_segment(&mut self, entropy: u64) -> Option<Addr> {
-        let corrupted = self.trace_cache.as_mut()?.fault_corrupt(entropy)?;
+    /// Applies one fault at `locus` to the live front end — the hook
+    /// the tc-sim fault injector drives — and reports whether it landed
+    /// (a target can be empty or unconfigured). A landed fault emits
+    /// one `FaultInjected` event, carrying the start address of the
+    /// trace-cache line it corrupted or evicted (zero elsewhere). The
+    /// front end holds no injection policy, only these entropy-driven
+    /// mutations:
+    ///
+    /// * `TcSegment` corrupts one resident segment in place;
+    /// * `TcEvict` silently drops one resident line;
+    /// * `Bias` flips one bias-table entry's direction (or promoted
+    ///   direction);
+    /// * `Predictor` flips one direction-predictor counter (always
+    ///   lands);
+    /// * `Ras` clobbers one stacked return address;
+    /// * `FillStall` drops the fill unit's pending segment and open
+    ///   block (`entropy` unused).
+    pub fn inject(&mut self, locus: FaultLocus, entropy: u64) -> bool {
+        let pc = match locus {
+            FaultLocus::TcSegment => self
+                .trace_cache
+                .as_mut()
+                .and_then(|tc| tc.fault_corrupt(entropy)),
+            FaultLocus::TcEvict => self
+                .trace_cache
+                .as_mut()
+                .and_then(|tc| tc.fault_evict(entropy)),
+            FaultLocus::Bias => self
+                .fill
+                .as_mut()
+                .and_then(FillUnit::bias_table_mut)
+                .is_some_and(|b| b.fault_flip(entropy))
+                .then_some(Addr::new(0)),
+            FaultLocus::Predictor => {
+                match &mut self.predictor {
+                    Predictor::Multi(p) => p.fault_flip(entropy),
+                    Predictor::Split(p) => p.fault_flip(entropy),
+                    Predictor::Hybrid(p) => p.fault_flip(entropy),
+                }
+                Some(Addr::new(0))
+            }
+            FaultLocus::Ras => self.ras.fault_clobber(entropy).then_some(Addr::new(0)),
+            FaultLocus::FillStall => self
+                .fill
+                .as_mut()
+                .is_some_and(FillUnit::fault_drop_pending)
+                .then_some(Addr::new(0)),
+        };
+        let Some(pc) = pc else {
+            return false;
+        };
         if T::ENABLED {
-            self.tracer.emit(TraceEvent::FaultInjected {
-                locus: FaultLocus::TcSegment,
-                pc: corrupted,
-            });
-        }
-        Some(corrupted)
-    }
-
-    /// Silently evicts one resident trace-cache line (state loss
-    /// without corruption). Returns the evicted start address.
-    pub fn fault_evict_line(&mut self, entropy: u64) -> Option<Addr> {
-        let evicted = self.trace_cache.as_mut()?.fault_evict(entropy)?;
-        if T::ENABLED {
-            self.tracer.emit(TraceEvent::FaultInjected {
-                locus: FaultLocus::TcEvict,
-                pc: evicted,
-            });
-        }
-        Some(evicted)
-    }
-
-    /// Flips one bias-table entry's direction (or its promoted
-    /// direction). Returns `false` when no dynamic bias table is
-    /// configured or the table is empty.
-    pub fn fault_flip_bias(&mut self, entropy: u64) -> bool {
-        let landed = self
-            .fill
-            .as_mut()
-            .and_then(FillUnit::bias_table_mut)
-            .is_some_and(|b| b.fault_flip(entropy));
-        if landed && T::ENABLED {
-            self.tracer.emit(TraceEvent::FaultInjected {
-                locus: FaultLocus::Bias,
-                pc: Addr::new(0),
-            });
-        }
-        landed
-    }
-
-    /// Flips one two-bit counter in the configured direction predictor.
-    /// Always lands (the tables are fixed-size).
-    pub fn fault_flip_predictor(&mut self, entropy: u64) -> bool {
-        match &mut self.predictor {
-            Predictor::Multi(p) => p.fault_flip(entropy),
-            Predictor::Split(p) => p.fault_flip(entropy),
-            Predictor::Hybrid(p) => p.fault_flip(entropy),
-        }
-        if T::ENABLED {
-            self.tracer.emit(TraceEvent::FaultInjected {
-                locus: FaultLocus::Predictor,
-                pc: Addr::new(0),
-            });
+            self.tracer.emit(TraceEvent::FaultInjected { locus, pc });
         }
         true
-    }
-
-    /// Clobbers one stacked return address. Returns `false` when the
-    /// stack is empty.
-    pub fn fault_clobber_ras(&mut self, entropy: u64) -> bool {
-        let landed = self.ras.fault_clobber(entropy);
-        if landed && T::ENABLED {
-            self.tracer.emit(TraceEvent::FaultInjected {
-                locus: FaultLocus::Ras,
-                pc: Addr::new(0),
-            });
-        }
-        landed
-    }
-
-    /// Drops the fill unit's in-flight segment and current block (a
-    /// stalled-fill fault). Returns `false` when nothing was pending.
-    pub fn fault_drop_fill(&mut self) -> bool {
-        let landed = self.fill.as_mut().is_some_and(FillUnit::fault_drop_pending);
-        if landed && T::ENABLED {
-            self.tracer.emit(TraceEvent::FaultInjected {
-                locus: FaultLocus::FillStall,
-                pc: Addr::new(0),
-            });
-        }
-        landed
     }
 }
 

@@ -716,6 +716,40 @@ mod tests {
         assert_eq!(f.stats().blocks_split, 1);
     }
 
+    /// The tight-loop trigger's bound is inclusive: a backward branch 32
+    /// instructions from its target packs, one 33 away does not.
+    #[test]
+    fn cost_regulation_tight_loop_bound_is_32() {
+        for (disp, packed) in [(32, 16), (33, 12)] {
+            let mut f = Collector::new(FillUnit::new(PackingPolicy::CostRegulated, None));
+            let mut pc = 100;
+            for i in 0..12u32 {
+                let branch = Instr::Branch {
+                    cond: Cond::Ne,
+                    rs1: Reg::T0,
+                    rs2: Reg::T1,
+                    target: Addr::new(pc - disp),
+                };
+                f.retire(&ExecRecord {
+                    pc: Addr::new(pc),
+                    instr: if i == 11 { branch } else { Instr::Nop },
+                    next_pc: Addr::new(pc + 1),
+                    taken: false,
+                    mem_addr: None,
+                });
+                pc += 1;
+            }
+            // 4 slots left for a 12-instruction block: only the tight
+            // loop can justify the split.
+            feed_block(&mut f, &mut pc, 12, false);
+            assert_eq!(
+                f.pop_segment().unwrap().len(),
+                packed,
+                "displacement {disp}"
+            );
+        }
+    }
+
     #[test]
     fn returns_finalize_segments() {
         let mut f = Collector::new(FillUnit::new(PackingPolicy::Atomic, None));

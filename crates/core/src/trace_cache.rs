@@ -775,279 +775,3 @@ mod path_assoc_tests {
         assert_eq!(tc.stats().duplicate_fills, 1);
     }
 }
-
-/// Differential test: the in-place storage against a reference copy of
-/// the MRU-list storage it replaced, under seeded operation sequences.
-#[cfg(test)]
-mod differential {
-    use super::*;
-    use crate::segment::{SegEndReason, SegmentInst};
-    use tc_isa::{Cond, Instr, Reg};
-    use tc_workloads::rng::{Rng, Xoshiro256PlusPlus};
-
-    /// The previous storage: each set a `Vec` of segments, most recently
-    /// used first, reordered by `remove` + `insert(0)`.
-    struct Reference {
-        config: TraceCacheConfig,
-        sets: Vec<Vec<TraceSegment>>,
-        stats: TraceCacheStats,
-    }
-
-    impl Reference {
-        fn new(config: TraceCacheConfig) -> Reference {
-            Reference {
-                config,
-                sets: vec![Vec::new(); config.sets()],
-                stats: TraceCacheStats::default(),
-            }
-        }
-
-        fn set(&self, start: Addr) -> usize {
-            start.index() % self.config.sets()
-        }
-
-        fn hit(&mut self, si: usize, pos: Option<usize>) -> Option<TraceSegment> {
-            let Some(pos) = pos else {
-                self.stats.misses += 1;
-                return None;
-            };
-            let seg = self.sets[si].remove(pos);
-            self.sets[si].insert(0, seg.clone());
-            self.stats.hits += 1;
-            Some(seg)
-        }
-
-        fn lookup(&mut self, start: Addr) -> Option<TraceSegment> {
-            let si = self.set(start);
-            let pos = self.sets[si].iter().position(|s| s.start() == start);
-            self.hit(si, pos)
-        }
-
-        fn lookup_best(&mut self, start: Addr, preds: &[bool]) -> Option<TraceSegment> {
-            let si = self.set(start);
-            let mut best: Option<(usize, (bool, usize))> = None;
-            for (i, seg) in self.sets[si].iter().enumerate() {
-                if seg.start() != start {
-                    continue;
-                }
-                let (active, _, full) = seg.match_predictions(preds);
-                if best.is_none_or(|(_, b)| (full, active) > b) {
-                    best = Some((i, (full, active)));
-                }
-            }
-            self.hit(si, best.map(|(i, _)| i))
-        }
-
-        fn probe(&self, start: Addr) -> Option<TraceSegment> {
-            let set = &self.sets[self.set(start)];
-            set.iter().find(|s| s.start() == start).cloned()
-        }
-
-        fn fill(&mut self, segment: TraceSegment) -> FillOutcome {
-            let si = self.set(segment.start());
-            let set = &mut self.sets[si];
-            if let Some(pos) = set.iter().position(|s| s.start() == segment.start()) {
-                let dup = if self.config.path_assoc {
-                    set.iter().position(|s| *s == segment)
-                } else {
-                    (set[pos] == segment).then_some(pos)
-                };
-                if let Some(dup) = dup {
-                    let seg = set.remove(dup);
-                    set.insert(0, seg);
-                    self.stats.duplicate_fills += 1;
-                    return FillOutcome::DUPLICATE;
-                }
-                if !self.config.path_assoc {
-                    set.remove(pos);
-                    set.insert(0, segment);
-                    self.stats.fills += 1;
-                    return FillOutcome::REPLACED;
-                }
-            }
-            let evicted = set.len() == self.config.ways;
-            if evicted {
-                set.pop();
-                self.stats.evictions += 1;
-            }
-            set.insert(0, segment);
-            self.stats.fills += 1;
-            FillOutcome {
-                evicted,
-                duplicate: false,
-            }
-        }
-
-        fn invalidate(&mut self, start: Addr) -> bool {
-            let si = self.set(start);
-            let before = self.sets[si].len();
-            self.sets[si].retain(|s| s.start() != start);
-            self.sets[si].len() != before
-        }
-
-        fn pick(&self, entropy: u64) -> Option<(usize, usize)> {
-            let resident: usize = self.sets.iter().map(Vec::len).sum();
-            if resident == 0 {
-                return None;
-            }
-            let mut nth = (entropy % resident as u64) as usize;
-            for (si, set) in self.sets.iter().enumerate() {
-                if nth < set.len() {
-                    return Some((si, nth));
-                }
-                nth -= set.len();
-            }
-            None
-        }
-
-        fn fault_corrupt(&mut self, entropy: u64) -> Option<Addr> {
-            let (si, i) = self.pick(entropy)?;
-            let start = self.sets[si][i].start();
-            corrupt(&mut self.sets[si][i], entropy);
-            Some(start)
-        }
-
-        fn fault_evict(&mut self, entropy: u64) -> Option<Addr> {
-            let (si, i) = self.pick(entropy)?;
-            Some(self.sets[si].remove(i).start())
-        }
-    }
-
-    /// The cache's contents, set by set, most recently used first.
-    fn contents(tc: &TraceCache) -> Vec<Vec<TraceSegment>> {
-        (0..tc.lens.len())
-            .map(|si| {
-                tc.resident_tags(si)
-                    .iter()
-                    .map(|t| tc.lines[t.line as usize].clone())
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// A segment from a small alphabet, so fills repeat, share starts
-    /// with different paths, and conflict within sets: 1–4 instructions
-    /// from one of 24 starts, with a possibly promoted branch second.
-    fn arb_segment(r: &mut Xoshiro256PlusPlus) -> TraceSegment {
-        let start = r.gen_range(0u32..24);
-        let len = r.gen_range(1usize..5);
-        let insts: Vec<SegmentInst> = (0..len)
-            .map(|i| {
-                let pc = Addr::new(start + i as u32);
-                if i == 1 {
-                    SegmentInst {
-                        pc,
-                        instr: Instr::Branch {
-                            cond: Cond::Eq,
-                            rs1: Reg::T0,
-                            rs2: Reg::T1,
-                            target: Addr::new(start + 10),
-                        },
-                        taken: r.gen_bool(0.5),
-                        promoted: r.gen_bool(0.3).then(|| r.gen_bool(0.5)),
-                    }
-                } else {
-                    SegmentInst {
-                        pc,
-                        instr: Instr::Nop,
-                        taken: false,
-                        promoted: None,
-                    }
-                }
-            })
-            .collect();
-        // Two end reasons, so identical instructions can still differ.
-        let reason = if r.gen_bool(0.8) {
-            SegEndReason::MaxBranches
-        } else {
-            SegEndReason::Packed
-        };
-        TraceSegment::new(&insts, reason)
-    }
-
-    fn run(config: TraceCacheConfig, seed: u64, steps: usize) {
-        let mut r = Xoshiro256PlusPlus::seed_from_u64(seed);
-        let mut tc = TraceCache::new(config);
-        let mut reference = Reference::new(config);
-        for step in 0..steps {
-            let start = Addr::new(r.gen_range(0u32..26));
-            let entropy = r.next_u64();
-            let op = r.gen_range(0u32..100);
-            let at = format!("{config:?} seed {seed} step {step} op {op}");
-            match op {
-                0..=39 => {
-                    let seg = arb_segment(&mut r);
-                    assert_eq!(
-                        tc.fill(seg.insts(), seg.end_reason()),
-                        reference.fill(seg),
-                        "{at}: fill"
-                    );
-                }
-                40..=59 => assert_eq!(
-                    tc.lookup(start).cloned(),
-                    reference.lookup(start),
-                    "{at}: lookup"
-                ),
-                60..=74 => {
-                    let preds: Vec<bool> = (0..r.gen_range(0usize..4))
-                        .map(|_| r.gen_bool(0.5))
-                        .collect();
-                    assert_eq!(
-                        tc.lookup_best(start, &preds).cloned(),
-                        reference.lookup_best(start, &preds),
-                        "{at}: lookup_best"
-                    );
-                }
-                75..=84 => assert_eq!(
-                    tc.probe(start).cloned(),
-                    reference.probe(start),
-                    "{at}: probe"
-                ),
-                85..=89 => assert_eq!(
-                    tc.invalidate(start),
-                    reference.invalidate(start),
-                    "{at}: invalidate"
-                ),
-                90..=94 => assert_eq!(
-                    tc.fault_corrupt(entropy),
-                    reference.fault_corrupt(entropy),
-                    "{at}: fault_corrupt"
-                ),
-                _ => assert_eq!(
-                    tc.fault_evict(entropy),
-                    reference.fault_evict(entropy),
-                    "{at}: fault_evict"
-                ),
-            }
-            assert_eq!(*tc.stats(), reference.stats, "{at}: stats");
-            let sets = &reference.sets;
-            assert_eq!(contents(&tc), *sets, "{at}: contents (MRU order)");
-            assert_eq!(
-                tc.resident(),
-                sets.iter().map(Vec::len).sum::<usize>(),
-                "{at}: resident"
-            );
-            assert_eq!(
-                tc.stored_instructions(),
-                sets.iter().flatten().map(TraceSegment::len).sum::<usize>(),
-                "{at}: stored_instructions"
-            );
-        }
-    }
-
-    #[test]
-    fn matches_the_mru_list_storage() {
-        for ways in [1, 2, 4] {
-            for path_assoc in [false, true] {
-                let config = TraceCacheConfig {
-                    entries: 4 * ways,
-                    ways,
-                    path_assoc,
-                };
-                for seed in 0..40 {
-                    run(config, 0x7CAC_0000 + seed, 400);
-                }
-            }
-        }
-    }
-}

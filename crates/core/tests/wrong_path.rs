@@ -16,7 +16,7 @@ use std::iter;
 use tc_cache::{HierarchyConfig, MemoryHierarchy};
 use tc_core::{FrontEnd, FrontEndConfig, NextPc, PackingPolicy, TraceCacheConfig};
 use tc_isa::{Addr, Program};
-use tc_trace::RingTracer;
+use tc_trace::{FaultLocus, RingTracer};
 use tc_workloads::rng::{Rng, Xoshiro256PlusPlus};
 use tc_workloads::{Benchmark, RvBench, Workload};
 
@@ -158,7 +158,10 @@ fn check(config: FrontEndConfig, hierarchy: HierarchyConfig, workload: &Workload
     let case = format!("{} on {}", config.label(), workload.name());
     let (mut fe, mem) = warmed(config, hierarchy, workload);
     for k in 0..corrupt {
-        let _ = fe.fault_corrupt_segment(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(k + 1));
+        fe.inject(
+            FaultLocus::TcSegment,
+            0x9E37_79B9_7F4A_7C15u64.wrapping_mul(k + 1),
+        );
     }
     let program = workload.program();
     let len = program.len() as u32;

@@ -76,8 +76,13 @@ pub struct ExecutionEngine {
 
 impl ExecutionEngine {
     /// Creates an empty engine.
+    ///
+    /// # Panics
+    ///
+    /// If `config.window` is 0: the window must hold an instruction.
     #[must_use]
     pub fn new(config: EngineConfig) -> ExecutionEngine {
+        assert!(config.window > 0, "the window needs an entry");
         ExecutionEngine {
             config,
             reg_ready: [0; Reg::COUNT],
@@ -358,6 +363,15 @@ mod tests {
             *counts.entry(r).or_insert(0) += 1;
         }
         assert!(counts.values().all(|&c| c <= 16));
+    }
+
+    #[test]
+    #[should_panic(expected = "the window needs an entry")]
+    fn zero_entry_window_is_rejected() {
+        let _ = ExecutionEngine::new(EngineConfig {
+            window: 0,
+            ..EngineConfig::paper_realistic()
+        });
     }
 
     #[test]

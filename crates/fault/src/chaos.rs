@@ -161,7 +161,7 @@ impl ChaosPlan {
         } else {
             (self.rate * (u64::MAX as f64)) as u64
         };
-        if threshold != u64::MAX && rng.next() >= threshold {
+        if threshold != u64::MAX && rng.next_u64() >= threshold {
             return None;
         }
         let enabled: Vec<ChaosKind> = ChaosKind::ALL
@@ -171,8 +171,8 @@ impl ChaosPlan {
         if enabled.is_empty() {
             return None;
         }
-        let kind = enabled[(rng.next() % enabled.len() as u64) as usize];
-        Some((kind, rng.next()))
+        let kind = enabled[(rng.next_u64() % enabled.len() as u64) as usize];
+        Some((kind, rng.next_u64()))
     }
 }
 
@@ -511,10 +511,10 @@ impl IoFaultPlan {
         } else {
             (self.rate * (u64::MAX as f64)) as u64
         };
-        if threshold != u64::MAX && rng.next() >= threshold {
+        if threshold != u64::MAX && rng.next_u64() >= threshold {
             return None;
         }
-        Some(self.kind.unwrap_or(if rng.next() & 1 == 0 {
+        Some(self.kind.unwrap_or(if rng.next_u64() & 1 == 0 {
             IoFaultKind::TornTemp
         } else {
             IoFaultKind::CrashBeforeRename

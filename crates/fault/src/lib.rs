@@ -223,7 +223,7 @@ impl FaultInjector {
             fire = true;
             self.next_cycle_idx += 1;
         }
-        if self.threshold > 0 && self.rng.next() < self.threshold {
+        if self.threshold > 0 && self.rng.next_u64() < self.threshold {
             fire = true;
         }
         if !fire {
@@ -233,11 +233,11 @@ impl FaultInjector {
         if enabled.is_empty() {
             return None;
         }
-        let pick = self.rng.next();
+        let pick = self.rng.next_u64();
         let locus = enabled[(pick % enabled.len() as u64) as usize];
         Some(FaultDraw {
             locus,
-            entropy: self.rng.next(),
+            entropy: self.rng.next_u64(),
         })
     }
 }
@@ -260,7 +260,7 @@ impl SplitMix64 {
     }
 
     /// Returns the next 64 uniformly distributed bits.
-    pub fn next(&mut self) -> u64 {
+    pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -114,20 +114,21 @@ impl ProgramBuilder {
     ///
     /// Returns [`AsmError::DuplicateBind`] if the label is already bound.
     pub fn bind(&mut self, label: Label) -> Result<&mut Self, AsmError> {
+        let at = self.cursor();
         let info = &mut self.labels[label.0];
         if info.addr.is_some() {
             return Err(AsmError::DuplicateBind {
                 name: info.name.clone(),
             });
         }
-        info.addr = Some(Addr::new(self.instrs.len() as u32));
+        info.addr = Some(at);
         Ok(self)
     }
 
     /// Convenience: creates a label and immediately binds it here.
     pub fn here(&mut self, name: impl Into<String>) -> Label {
         let l = self.new_label(name);
-        self.bind(l).expect("fresh label cannot be already bound");
+        self.labels[l.0].addr = Some(self.cursor());
         l
     }
 

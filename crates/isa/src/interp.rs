@@ -140,15 +140,6 @@ impl Machine {
         self.mem[addr as usize]
     }
 
-    /// Writes the data-memory word at `addr` (setup/test helper).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is out of range.
-    pub fn set_mem(&mut self, addr: u64, value: u64) {
-        self.mem[addr as usize] = value;
-    }
-
     /// Copies `words` into memory starting at `base` (setup helper).
     ///
     /// # Panics
@@ -243,11 +234,11 @@ impl Machine {
     ) -> Result<u64, ExecError> {
         let addr = self.reg(base).wrapping_add(offset as i64 as u64);
         let bytes = width.bytes();
-        if addr % bytes != 0 {
+        if !addr.is_multiple_of(bytes) {
             return Err(ExecError::MemUnaligned { pc, addr, bytes });
         }
         let mem_bytes = (self.mem.len() as u64).saturating_mul(8);
-        if addr.checked_add(bytes).map_or(true, |end| end > mem_bytes) {
+        if addr.checked_add(bytes).is_none_or(|end| end > mem_bytes) {
             return Err(ExecError::MemOutOfBounds {
                 pc,
                 addr: addr >> 3,

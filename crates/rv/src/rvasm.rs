@@ -425,7 +425,7 @@ pub fn assemble_rv(source: &str) -> Result<RvImage, RvAsmError> {
                     if !a.in_data {
                         return err(line, ".word outside .data");
                     }
-                    while a.data.len() % 4 != 0 {
+                    while !a.data.len().is_multiple_of(4) {
                         a.data.push(0);
                     }
                     for op in &ops {

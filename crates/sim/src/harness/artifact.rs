@@ -96,24 +96,23 @@ pub enum Integrity {
 /// is returned unchanged.
 #[must_use]
 pub fn stamp(text: &str) -> String {
-    let field = if text.starts_with("{\n") {
-        format!("  \"crc32\": \"{CRC_PLACEHOLDER}\",\n")
+    let (insert_at, before, after) = if text.starts_with("{\n") {
+        (2, "  \"crc32\": \"", "\",\n")
     } else if text.starts_with("{\"") {
-        format!("\"crc32\":\"{CRC_PLACEHOLDER}\",")
+        (1, "\"crc32\":\"", "\",")
     } else {
         return text.to_string();
     };
-    let insert_at = if text.starts_with("{\n") { 2 } else { 1 };
-    let mut out = String::with_capacity(text.len() + field.len());
+    let mut out =
+        String::with_capacity(text.len() + before.len() + CRC_PLACEHOLDER.len() + after.len());
     out.push_str(&text[..insert_at]);
-    out.push_str(&field);
+    out.push_str(before);
+    let pos = out.len();
+    out.push_str(CRC_PLACEHOLDER);
+    out.push_str(after);
     out.push_str(&text[insert_at..]);
-    let crc = crc32(out.as_bytes());
-    let digits = format!("{crc:08x}");
-    let pos = out
-        .find(CRC_PLACEHOLDER)
-        .expect("placeholder was just inserted");
-    out.replace_range(pos..pos + 8, &digits);
+    let digits = format!("{:08x}", crc32(out.as_bytes()));
+    out.replace_range(pos..pos + CRC_PLACEHOLDER.len(), &digits);
     out
 }
 

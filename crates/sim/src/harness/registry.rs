@@ -110,13 +110,20 @@ pub fn find_bench(name: &str) -> Option<WorkloadId> {
         .find(|b| b.name() == name || b.short_name() == name)
 }
 
-/// The five standard front ends of Figure 10, in column order.
-pub const STANDARD_FIVE: [&str; 5] = ["icache", "baseline", "packing", "promotion", "promo-pack"];
+/// The five standard front ends of Figure 10, in column order: the
+/// first five presets.
+pub const STANDARD_FIVE: [&str; 5] = [
+    PRESETS[0].name,
+    PRESETS[1].name,
+    PRESETS[2].name,
+    PRESETS[3].name,
+    PRESETS[4].name,
+];
 
 /// Builds Figure 10's five standard configurations with their names.
 #[must_use]
 pub fn standard_five() -> [(&'static str, SimConfig); 5] {
-    STANDARD_FIVE.map(|name| (name, lookup(name).expect("standard preset registered")))
+    std::array::from_fn(|i| (PRESETS[i].name, PRESETS[i].build()))
 }
 
 #[cfg(test)]

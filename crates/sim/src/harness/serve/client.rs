@@ -126,7 +126,7 @@ impl RetryPolicy {
             .saturating_mul(1u32 << (attempt - 1).min(16))
             .min(self.max_delay);
         let mut rng = SplitMix64::new(self.seed ^ u64::from(attempt));
-        let frac = 0.5 + (rng.next() >> 11) as f64 / (1u64 << 53) as f64 / 2.0;
+        let frac = 0.5 + (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64 / 2.0;
         exp.mul_f64(frac)
     }
 }

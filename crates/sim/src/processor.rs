@@ -472,10 +472,11 @@ impl<T: Tracer> Processor<T> {
         if self.engine.has_room() {
             return true;
         }
-        let t = self
-            .engine
-            .earliest_retire()
-            .expect("full window is non-empty");
+        // A window without room holds an instruction to wait for: the
+        // engine rejects a zero-entry window.
+        let Some(t) = self.engine.earliest_retire() else {
+            unreachable!("a full window holds an instruction");
+        };
         let wait = t.saturating_sub(rs.cycle).max(1);
         self.trace(TraceEvent::WindowStall {
             wait: wait as u32,
@@ -855,15 +856,8 @@ impl<T: Tracer> Processor<T> {
     /// misprediction recovery. Segment corruption is accounted by the
     /// front end's quarantine counters (or `escaped` at dispatch).
     fn apply_fault(&mut self, draw: FaultDraw) {
-        let fe = &mut self.front_end;
-        let (landed, self_healing) = match draw.locus {
-            FaultLocus::TcSegment => (fe.fault_corrupt_segment(draw.entropy).is_some(), false),
-            FaultLocus::TcEvict => (fe.fault_evict_line(draw.entropy).is_some(), true),
-            FaultLocus::Bias => (fe.fault_flip_bias(draw.entropy), true),
-            FaultLocus::Predictor => (fe.fault_flip_predictor(draw.entropy), true),
-            FaultLocus::Ras => (fe.fault_clobber_ras(draw.entropy), true),
-            FaultLocus::FillStall => (fe.fault_drop_fill(), true),
-        };
+        let landed = self.front_end.inject(draw.locus, draw.entropy);
+        let self_healing = draw.locus != FaultLocus::TcSegment;
         if landed {
             self.fault.injected += 1;
             if self_healing {

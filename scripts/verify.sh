@@ -4,7 +4,8 @@
 #   scripts/verify.sh
 #
 # Builds offline (the workspace has no external dependencies), runs the
-# full test suite, lints the workload programs, and checks formatting.
+# full test suite, lints the workload programs, checks formatting, and
+# runs clippy against the workspace lint set.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -257,4 +258,8 @@ rm -f "$bad_asm" "$bench_artifact.trunc" "$bench_artifact.plan" "$bench_artifact
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "OK: build + tests + release harness tests + lint + bench smoke + twbench smoke + compare + paper smoke + trace smoke + faults smoke + fast-forward/checkpoint smoke + rv32i smoke + analyze/plan smoke + serve load smoke + chaos/crash-recovery smoke + error layer + formatting all clean"
+echo "==> cargo clippy"
+# The workspace lint set in Cargo.toml, every target, warnings as errors.
+cargo clippy --release --offline --all-targets -- -D warnings
+
+echo "OK: build + tests + release harness tests + lint + bench smoke + twbench smoke + compare + paper smoke + trace smoke + faults smoke + fast-forward/checkpoint smoke + rv32i smoke + analyze/plan smoke + serve load smoke + chaos/crash-recovery smoke + error layer + formatting + clippy all clean"
