@@ -10,20 +10,24 @@
 //! into straight-line runs; [`Machine::fast_forward`] then executes whole
 //! runs in a tight loop with no per-instruction next-PC resolution, no
 //! bounds re-checks on fall-through, and no record construction. Each
-//! run's tail (the instruction that may redirect the PC or halt) goes
-//! through [`Machine::step`] itself.
+//! run's tail (the instruction that may redirect the PC or halt) is
+//! committed the way [`Machine::step`] commits an instruction, with the
+//! same halt handling and next-PC range check, but without fetching it
+//! again through [`Program::fetch`] or building a record.
 //!
 //! The fast path has no instruction semantics of its own: the straight
-//! prefix and `step` both execute through the same `Machine::execute`.
+//! prefix, the tail and `step` all execute through the same
+//! `Machine::execute`.
 //! It is therefore *architecturally bit-identical* to stepping: after
 //! `fast_forward(p, &blocks, n)` the machine's registers, memory, PC,
 //! retired count, and halt flag are exactly what `n` calls of
 //! [`Machine::step`] would have produced, including the state at which an
 //! [`ExecError`] is raised. The equivalence tests below drive both paths
-//! in lockstep.
+//! in lockstep on toy programs, and `tc-workloads`' `lockstep` test on
+//! every registered workload.
 
 use crate::instr::Instr;
-use crate::interp::{ExecError, Machine, StepOutcome};
+use crate::interp::{ExecError, Machine};
 use crate::program::{Addr, Program};
 
 /// Whether `instr` ends a straight-line run: any instruction that can
@@ -139,8 +143,12 @@ impl Machine {
                 break;
             }
             // The tail resolves control flow, halts and range-checks the
-            // next PC: it is a run of length 1, so `step` executes it.
-            if let StepOutcome::Executed(_) = self.step(program)? {
+            // next PC through `step`'s own commit, with no record built.
+            let at = self.pc;
+            if self
+                .execute_and_commit(at, instrs[at.index()], instrs.len())?
+                .is_some()
+            {
                 executed += 1;
             }
         }
@@ -179,6 +187,7 @@ mod tests {
     use super::*;
     use crate::asm::ProgramBuilder;
     use crate::instr::{Cond, MemWidth};
+    use crate::interp::{Interpreter, StepOutcome};
     use crate::reg::Reg;
 
     /// A program exercising every run shape: loops, calls/returns,
@@ -284,7 +293,9 @@ mod tests {
 
     /// Every `ExecError` variant — memory faults inside a straight-line
     /// prefix, PC faults at a run's tail: `step` and `fast_forward` must
-    /// stop with the same error in the same architectural state.
+    /// stop with the same error in the same architectural state, and
+    /// `Interpreter::for_each_record` must hand out the records `next`
+    /// yields and stop at the same fault.
     #[test]
     fn fault_state_matches_step_fault_state() {
         let case = |build: &dyn Fn(&mut ProgramBuilder)| {
@@ -383,6 +394,28 @@ mod tests {
             assert_eq!(slow.retired(), want_retired, "{name}: step retired count");
             assert_eq!(slow.retired(), fast.retired(), "{name}: retired");
             assert_eq!(slow.regs(), fast.regs(), "{name}: registers");
+
+            let mut by_next = Interpreter::new(&p, 64);
+            let want_recs: Vec<_> = by_next.by_ref().collect();
+            let mut batched = Interpreter::new(&p, 64);
+            let mut recs = Vec::new();
+            let ran = batched.for_each_record(1_000, |rec| recs.push(rec));
+            assert_eq!(recs, want_recs, "{name}: records");
+            assert_eq!(ran, want_retired, "{name}: records handed out");
+            assert_eq!(by_next.error(), Some(&want), "{name}: next error");
+            assert_eq!(batched.error(), Some(&want), "{name}: batch error");
+            assert_eq!(batched.machine().pc(), slow.pc(), "{name}: batch pc");
+            assert_eq!(
+                batched.machine().regs(),
+                slow.regs(),
+                "{name}: batch registers"
+            );
+            // A latched fault ends the stream for good.
+            assert_eq!(
+                batched.for_each_record(1_000, |_| {}),
+                0,
+                "{name}: after fault"
+            );
         }
     }
 

@@ -63,6 +63,7 @@ fn sext32(x: u64) -> u64 {
 impl AluOp {
     /// Evaluates the operation on two operand values.
     #[must_use]
+    #[inline(always)]
     pub fn eval(self, a: u64, b: u64) -> u64 {
         match self {
             AluOp::Add => a.wrapping_add(b),
@@ -156,6 +157,7 @@ pub enum Cond {
 impl Cond {
     /// Evaluates the condition on two register values.
     #[must_use]
+    #[inline(always)]
     pub fn eval(self, a: u64, b: u64) -> bool {
         match self {
             Cond::Eq => a == b,

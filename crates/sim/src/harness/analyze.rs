@@ -21,7 +21,7 @@
 use std::collections::BTreeMap;
 
 use tc_analyze::{analyze, classify, DynProfile};
-use tc_isa::{ControlKind, StepOutcome};
+use tc_isa::ControlKind;
 use tc_predict::{BiasOverride, BranchClass, PlanAction};
 use tc_workloads::Workload;
 
@@ -72,27 +72,21 @@ pub fn profile_branches(
     workload: &Workload,
     max_insts: u64,
 ) -> Result<(BTreeMap<u64, DynProfile>, u64), TwError> {
-    let program = workload.program();
-    let mut machine = workload.machine();
+    let mut interp = workload.interpreter();
     let mut branches: BTreeMap<u64, BranchHistory> = BTreeMap::new();
-    let mut profiled = 0u64;
-    while profiled < max_insts {
-        let step = machine.step(program).map_err(|e| {
-            TwError::runtime(format!(
-                "{}: workload faulted while profiling: {e:?}",
-                workload.name()
-            ))
-        })?;
-        let StepOutcome::Executed(rec) = step else {
-            break;
-        };
-        profiled += 1;
+    let profiled = interp.for_each_record(max_insts, |rec| {
         if rec.is_cond_branch() {
             branches
                 .entry(rec.pc.byte_addr())
                 .or_default()
                 .push(rec.taken);
         }
+    });
+    if let Some(e) = interp.error() {
+        return Err(TwError::runtime(format!(
+            "{}: workload faulted while profiling: {e:?}",
+            workload.name()
+        )));
     }
     let profiles = branches
         .into_iter()

@@ -385,21 +385,21 @@ impl<T: Tracer> Processor<T> {
             0,
             "warming starts with an empty window"
         );
-        let mut done = 0u64;
-        while done < want {
-            // Not `refill`: warming needs no look-ahead, and copying each
-            // record through the buffer costs ~5% of sampled throughput.
-            let Some(rec) = self.oracle.pop_front().or_else(|| interp.next()) else {
-                break;
-            };
-            mirror_ras(ras_mirror, &rec);
+        let mut warm = |rec: &ExecRecord| {
+            mirror_ras(ras_mirror, rec);
             if let Some(addr) = rec.mem_addr {
                 let _ = self.mem.data_access(addr * 8); // word -> byte address
             }
-            self.front_end.warm(&rec);
-            done += 1;
+            self.front_end.warm(rec);
+        };
+        // Warming needs no look-ahead: the records already queued go
+        // first, then the interpreter hands the rest of the window
+        // straight to `warm`, with no copy through the queue.
+        let queued = (self.oracle.len() as u64).min(want);
+        for rec in self.oracle.drain(..queued as usize) {
+            warm(&rec);
         }
-        done
+        queued + interp.for_each_record(want - queued, |rec| warm(&rec))
     }
 
     /// The timing loop: one [`Processor::tick`] per cycle, from the
@@ -796,13 +796,8 @@ impl<T: Tracer> Processor<T> {
     /// Tops the look-ahead (the records past the in-flight ones) up to
     /// 64 records.
     fn refill(&mut self, interp: &mut Interpreter<'_>) {
-        let want = self.engine.occupancy() + 64;
-        while self.oracle.len() < want {
-            match interp.next() {
-                Some(rec) => self.oracle.push_back(rec),
-                None => break,
-            }
-        }
+        let short = (self.engine.occupancy() + 64).saturating_sub(self.oracle.len());
+        interp.for_each_record(short as u64, |rec| self.oracle.push_back(rec));
     }
 
     /// Advances the stream by up to `want` instructions with no timing

@@ -85,9 +85,7 @@ impl Workload {
     pub fn stream_stats(&self, max_insts: u64) -> StreamStats {
         let mut interp = self.interpreter();
         let mut stats = StreamStats::new();
-        for rec in interp.by_ref().take(max_insts as usize) {
-            stats.record(&rec);
-        }
+        interp.for_each_record(max_insts, |rec| stats.record(&rec));
         if let Some(e) = interp.error() {
             panic!("workload {} faulted: {e}", self.name);
         }

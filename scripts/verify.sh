@@ -24,6 +24,13 @@ echo "==> cargo test --release (harness)"
 # profile-dependent default fails here.
 cargo test --release --offline -q -p tc-sim --test harness
 
+echo "==> cargo test --release (functional core)"
+# The interpreter and fast-forward tests again under the benchmark's
+# codegen: `run_straight`'s debug assertion is off and arithmetic wraps
+# in release, so lockstep and fault-state equivalence must hold there too.
+cargo test --release --offline -q -p tc-isa
+cargo test --release --offline -q -p tc-workloads --test lockstep
+
 echo "==> tw lint --all"
 target/release/tw lint --all
 
@@ -262,4 +269,4 @@ echo "==> cargo clippy"
 # The workspace lint set in Cargo.toml, every target, warnings as errors.
 cargo clippy --release --offline --all-targets -- -D warnings
 
-echo "OK: build + tests + release harness tests + lint + bench smoke + twbench smoke + compare + paper smoke + trace smoke + faults smoke + fast-forward/checkpoint smoke + rv32i smoke + analyze/plan smoke + serve load smoke + chaos/crash-recovery smoke + error layer + formatting + clippy all clean"
+echo "OK: build + tests + release harness and functional-core tests + lint + bench smoke + twbench smoke + compare + paper smoke + trace smoke + faults smoke + fast-forward/checkpoint smoke + rv32i smoke + analyze/plan smoke + serve load smoke + chaos/crash-recovery smoke + error layer + formatting + clippy all clean"

@@ -421,7 +421,8 @@ impl Args {
             (_, None) if warmup.is_some() => Err(TwError::usage("--warmup requires --sample")),
             (Some(skip), None) => Ok(config.with_fast_forward(skip)),
             (None, Some((measure, period))) => {
-                let warmup = warmup.unwrap_or_else(|| (period - measure).min(2 * measure));
+                let warmup =
+                    warmup.unwrap_or_else(|| (period - measure).min(measure.saturating_mul(2)));
                 if warmup.checked_add(measure).is_none_or(|used| used > period) {
                     return Err(TwError::usage(format!(
                         "--warmup {warmup} + measure {measure} exceeds the {period}-instruction period"

@@ -496,6 +496,30 @@ fn rv_workloads_reach_the_sim_surface_by_family_name() {
 }
 
 #[test]
+fn default_warmup_saturates_instead_of_overflowing() {
+    // The default warm-up is min(period - measure, 2 * measure); with a
+    // measure above u64::MAX / 2 the doubling must saturate, not panic
+    // (debug) or wrap (release).
+    let out = tw(&[
+        "sim",
+        "--bench",
+        "compress",
+        "--config",
+        "headline",
+        "--insts",
+        "20000",
+        "--sample",
+        "10000000000000000000/18446744073709551615",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_line(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("sample10000000000000000000/18446744073709551615w8446744073709551615"),
+        "{stdout}"
+    );
+}
+
+#[test]
 fn serve_flags_are_validated_before_binding() {
     assert_diagnostic(&tw(&["serve", "--queue-depth", "0"]), 2);
     assert_diagnostic(&tw(&["serve", "--cache-entries", "0"]), 2);
