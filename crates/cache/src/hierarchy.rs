@@ -106,6 +106,7 @@ impl MemoryHierarchy {
         &self.config
     }
 
+    #[inline]
     fn access_through(&mut self, l1_is_icache: bool, addr: u64) -> AccessLatency {
         let l1 = if l1_is_icache {
             &mut self.icache
@@ -146,6 +147,7 @@ impl MemoryHierarchy {
 
     /// Performs a data access (load or store; the tag-store model treats
     /// them identically).
+    #[inline]
     pub fn data_access(&mut self, addr: u64) -> AccessLatency {
         self.access_through(false, addr)
     }

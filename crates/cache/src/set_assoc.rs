@@ -79,12 +79,14 @@ impl SetAssocCache {
     }
 
     /// The set index and tag of `addr`.
+    #[inline]
     fn locate(&self, addr: u64) -> (usize, u64) {
         let set = (addr >> self.line_shift) as usize & (self.config.sets - 1);
         (set, addr >> self.tag_shift)
     }
 
     /// The tag slots of set `si`, and how many of them are resident.
+    #[inline]
     fn set_mut(&mut self, si: usize) -> (&mut [u64], usize) {
         let ways = self.config.ways;
         let len = self.lens[si] as usize;
@@ -93,6 +95,7 @@ impl SetAssocCache {
 
     /// Accesses the line containing `addr`, allocating it on a miss and
     /// updating LRU state and statistics.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> AccessResult {
         let (si, tag) = self.locate(addr);
         let (line_shift, tag_shift) = (self.line_shift, self.tag_shift);

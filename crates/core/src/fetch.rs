@@ -13,7 +13,7 @@ use crate::config::{FrontEndConfig, PredictorChoice};
 use crate::fill::FillUnit;
 use crate::inline_vec::InlineVec;
 use crate::sanitize::{CheckSite, Sanitizer};
-use crate::segment::{SegmentInst, MAX_SEGMENT_BRANCHES};
+use crate::segment::{prefix_mask, TraceSegment, MAX_SEGMENT_BRANCHES};
 use crate::stats::{FetchStats, TerminationReason, MAX_FETCH};
 use crate::trace_cache::TraceCache;
 
@@ -178,10 +178,14 @@ pub struct FetchStep {
 /// collects them into the bundle, [`FrontEnd::fetch_next`] drops them,
 /// so a wrong-path fetch builds no instruction list at all.
 trait FetchSink {
+    /// Whether the sink keeps what it is given; a trace-cache fetch
+    /// into a sink that does not skips its per-instruction loop.
+    const DELIVERS: bool;
     fn push(&mut self, inst: FetchedInst);
 }
 
 impl FetchSink for InlineVec<FetchedInst, MAX_FETCH> {
+    const DELIVERS: bool = true;
     #[inline(always)]
     fn push(&mut self, inst: FetchedInst) {
         InlineVec::push(self, inst);
@@ -192,6 +196,7 @@ impl FetchSink for InlineVec<FetchedInst, MAX_FETCH> {
 struct Discard;
 
 impl FetchSink for Discard {
+    const DELIVERS: bool = false;
     #[inline(always)]
     fn push(&mut self, _: FetchedInst) {}
 }
@@ -471,7 +476,7 @@ impl<T: Tracer> FrontEnd<T> {
         }
         if let (Some(fill), Some(tc)) = (self.fill.as_mut(), self.trace_cache.as_deref_mut()) {
             fill.retire_traced(rec, &mut self.tracer);
-            for kind in fill.take_violations() {
+            for kind in fill.drain_violations() {
                 self.sanitizer.record(CheckSite::Fill, None, kind);
             }
             for (insts, reason) in fill.finalized() {
@@ -661,12 +666,9 @@ impl<T: Tracer> FrontEnd<T> {
                 tc.lookup_best_by(pc, |seg| {
                     let mut preds: InlineVec<bool, MAX_SEGMENT_BRANCHES> = InlineVec::new();
                     // The hybrid supplies one prediction per cycle.
-                    for si in seg
-                        .insts()
-                        .iter()
-                        .filter(|si| si.needs_prediction())
-                        .take(1)
-                    {
+                    let dynamic = seg.masks().dynamic;
+                    if dynamic != 0 {
+                        let si = &seg.insts()[dynamic.trailing_zeros() as usize];
                         preds.push(h.predict(si.pc.byte_addr(), history).dir);
                     }
                     let (active, _, full) = seg.match_predictions(&preds);
@@ -687,9 +689,8 @@ impl<T: Tracer> FrontEnd<T> {
                     quarantined = Some(seg.start());
                     return None;
                 }
-                let total = seg.insts().len();
-                let head =
-                    self.fetch_from_segment(seg.insts(), seg.end_reason(), &dirs, pred_ctx, out);
+                let total = seg.len();
+                let head = self.fetch_from_segment(seg, &dirs, pred_ctx, out);
                 if T::ENABLED {
                     self.tracer.emit(TraceEvent::TcHit {
                         pc,
@@ -743,119 +744,115 @@ impl<T: Tracer> FrontEnd<T> {
         }
     }
 
+    /// Fetches from the trace-cache line `seg`. The line's predecoded
+    /// masks give the predictions' slots, the active length, the
+    /// history pushes and the return-stack pushes, so only a sink that
+    /// keeps the instructions walks them.
+    #[inline(always)]
     fn fetch_from_segment<S: FetchSink>(
         &mut self,
-        insts: &[SegmentInst],
-        end_reason: crate::segment::SegEndReason,
+        seg: &TraceSegment,
         dirs: &[bool; 3],
         mut pred_ctx: PredContext,
         out: &mut S,
     ) -> FetchHead {
+        let insts = seg.insts();
+        let m = seg.masks();
+        let len = insts.len();
+
         // Resolve the predictions available to this fetch: up to
-        // `bandwidth` directions for the line's non-promoted branches.
+        // `bandwidth` directions for the line's non-promoted branches,
+        // the k-th at the slot of the k-th such branch. `unpredicted`
+        // keeps the non-promoted branches left without one.
         let bandwidth = self.predictor_bandwidth();
-        let mut preds: InlineVec<bool, MAX_SEGMENT_BRANCHES> = InlineVec::new();
-        for si in insts
-            .iter()
-            .filter(|si| si.needs_prediction())
-            .take(bandwidth)
-        {
+        let mut pred = 0u16;
+        let mut covered = 0u16;
+        let mut unpredicted = m.dynamic;
+        for &dir in &dirs[..bandwidth] {
+            if unpredicted == 0 {
+                break;
+            }
+            let i = unpredicted.trailing_zeros() as usize;
             let p = match &self.predictor {
                 Predictor::Hybrid(h) => {
-                    let hp = h.predict(si.pc.byte_addr(), pred_ctx.history);
-                    pred_ctx.hybrid = Some((si.pc, hp));
+                    let pc = insts[i].pc;
+                    let hp = h.predict(pc.byte_addr(), pred_ctx.history);
+                    pred_ctx.hybrid = Some((pc, hp));
                     hp.dir
                 }
-                _ => dirs.get(preds.len()).copied().unwrap_or(false),
+                _ => dir,
             };
-            preds.push(p);
+            pred |= u16::from(p) << i;
+            covered |= 1 << i;
+            unpredicted &= unpredicted - 1;
         }
 
-        // Phase 1: match the embedded path against the predictions. The
-        // active portion ends at the first divergence (partial matching)
-        // or just before a branch with no prediction left (predictor
+        // Match the embedded path against the predictions. The active
+        // portion ends at the first divergence (partial matching) or
+        // just before a branch with no prediction left (predictor
         // bandwidth — the paper's "Maximum BRs" limit).
-        let mut active_len = insts.len();
-        let mut used = 0usize;
-        let mut full = true;
-        let mut bandwidth_cut = false;
-        for (i, si) in insts.iter().enumerate() {
-            if si.needs_prediction() {
-                if used == preds.len() {
-                    active_len = i;
-                    full = false;
-                    bandwidth_cut = true;
-                    break;
-                }
-                let p = preds[used];
-                used += 1;
-                if p != si.taken {
-                    active_len = i + 1;
-                    full = false;
-                    break;
-                }
-            }
-        }
+        let diverged = (pred ^ m.taken) & covered;
+        let (mut active_len, mut used, full, bandwidth_cut) = if diverged != 0 {
+            let i = diverged.trailing_zeros() as usize;
+            let used = (m.dynamic & prefix_mask(i + 1)).count_ones();
+            (i + 1, used as usize, false, false)
+        } else if unpredicted != 0 {
+            let used = covered.count_ones() as usize;
+            (unpredicted.trailing_zeros() as usize, used, false, true)
+        } else {
+            (len, m.dynamic.count_ones() as usize, true, false)
+        };
         // Without partial matching, a diverging line supplies only its
         // first fetch block.
         if !full && !bandwidth_cut && !self.config.partial_matching {
-            let first_block = insts
-                .iter()
-                .position(SegmentInst::needs_prediction)
-                .map_or(insts.len(), |i| i + 1);
+            let first_block = if m.dynamic == 0 {
+                len
+            } else {
+                m.dynamic.trailing_zeros() as usize + 1
+            };
             if active_len > first_block {
                 active_len = first_block;
                 used = 1;
             }
         }
+        let active = prefix_mask(active_len);
+        // The direction assumed for each conditional branch: a promoted
+        // one's static direction, or its prediction.
+        let assumed = (m.promoted_taken | pred) & m.cond;
 
-        // Phase 2: emit the active prefix, updating history and RAS.
-        let mut pred_i = 0usize;
-        let mut last_assumed = None;
-        for si in &insts[..active_len] {
-            let assumed = if si.instr.is_cond_branch() {
-                if let Some(dir) = si.promoted {
-                    Some(dir)
-                } else {
-                    let p = preds.get(pred_i).copied().unwrap_or(false);
-                    pred_i += 1;
-                    Some(p)
-                }
-            } else {
-                None
-            };
-            last_assumed = assumed;
-            out.push(FetchedInst {
-                pc: si.pc,
-                instr: si.instr,
-                pred_taken: assumed,
-                promoted: si.promoted.is_some(),
-                active: true,
-            });
-            // Speculative history: active conditional branches, promoted
-            // included (§4 keeps their outcomes in the history).
-            if let Some(dir) = assumed {
-                self.history.push(dir);
-            }
-            // RAS maintenance for active calls (returns pop below, when
-            // computing the next fetch address).
-            if matches!(
-                si.instr.control_kind(),
-                ControlKind::Call | ControlKind::IndirectCall
-            ) {
-                self.ras.push(u64::from(si.pc.next()));
-            }
+        // Speculative history: active conditional branches, promoted
+        // included (§4 keeps their outcomes in the history).
+        let mut conds = m.cond & active;
+        while conds != 0 {
+            self.history
+                .push(assumed >> conds.trailing_zeros() & 1 != 0);
+            conds &= conds - 1;
         }
-        // The inactive suffix (only with inactive issue); its assumed
-        // direction is the segment's embedded path.
-        if self.config.inactive_issue {
-            for si in &insts[active_len..] {
+        // RAS maintenance for active calls (returns pop below, when
+        // computing the next fetch address).
+        let mut calls = m.call & active;
+        while calls != 0 {
+            let si = &insts[calls.trailing_zeros() as usize];
+            self.ras.push(u64::from(si.pc.next()));
+            calls &= calls - 1;
+        }
+        // The active prefix, then the inactive suffix (only with inactive
+        // issue), whose assumed direction is the segment's embedded path.
+        if S::DELIVERS {
+            let delivered = if self.config.inactive_issue {
+                len
+            } else {
+                active_len
+            };
+            for (i, si) in insts[..delivered].iter().enumerate() {
+                let is_active = i < active_len;
+                let dirs = if is_active { assumed } else { m.taken };
                 out.push(FetchedInst {
                     pc: si.pc,
                     instr: si.instr,
-                    pred_taken: si.instr.is_cond_branch().then_some(si.taken),
-                    promoted: si.promoted.is_some(),
-                    active: false,
+                    pred_taken: (m.cond >> i & 1 != 0).then_some(dirs >> i & 1 != 0),
+                    promoted: m.promoted >> i & 1 != 0,
+                    active: is_active,
                 });
             }
         }
@@ -874,7 +871,7 @@ impl<T: Tracer> FrontEnd<T> {
             // the sanitizer can break that, so degrade to sequential
             // fetch instead of panicking (the driver's dispatch check
             // catches the divergence).
-            let pred = last_assumed.unwrap_or(false);
+            let pred = assumed >> (active_len - 1) & 1 != 0;
             match last_active.instr {
                 Instr::Branch { target, .. } => {
                     if pred {
@@ -905,7 +902,7 @@ impl<T: Tracer> FrontEnd<T> {
         let base_reason = if bandwidth_cut {
             TerminationReason::MaximumBrs
         } else if full {
-            TerminationReason::from(end_reason)
+            TerminationReason::from(seg.end_reason())
         } else {
             TerminationReason::PartialMatch
         };

@@ -95,6 +95,29 @@ enum Promoter {
     Static(StaticPromotionTable),
 }
 
+/// Conditional branches in a run of fill-buffer slots: the
+/// non-promoted (dynamic) ones and the promoted ones.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct BranchCounts {
+    dynamic: usize,
+    promoted: usize,
+}
+
+impl BranchCounts {
+    /// Counts `insts` from scratch.
+    fn of(insts: &[SegmentInst]) -> BranchCounts {
+        BranchCounts {
+            dynamic: insts.iter().filter(|i| i.needs_prediction()).count(),
+            promoted: insts.iter().filter(|i| i.promoted.is_some()).count(),
+        }
+    }
+
+    fn add(&mut self, other: BranchCounts) {
+        self.dynamic += other.dynamic;
+        self.promoted += other.promoted;
+    }
+}
+
 /// A segment finalized by the latest retire: `buf[start..end]`.
 #[derive(Debug, Clone, Copy)]
 struct Finalized {
@@ -135,6 +158,11 @@ pub struct FillUnit {
     block: usize,
     /// End of the open block.
     end: usize,
+    /// Branches in the pending segment, `buf[seg..block]`, kept as
+    /// instructions join it so finalizing does not recount them.
+    seg_branches: BranchCounts,
+    /// Branches in the open block, `buf[block..end]`.
+    block_branches: BranchCounts,
     finalized: [Finalized; 2],
     finalized_len: usize,
     stats: FillStats,
@@ -161,6 +189,8 @@ impl FillUnit {
             seg: 0,
             block: 0,
             end: 0,
+            seg_branches: BranchCounts::default(),
+            block_branches: BranchCounts::default(),
             finalized: [none; 2],
             finalized_len: 0,
             stats: FillStats::default(),
@@ -187,6 +217,8 @@ impl FillUnit {
         self.seg = 0;
         self.block = 0;
         self.end = 0;
+        self.seg_branches = BranchCounts::default();
+        self.block_branches = BranchCounts::default();
         self.finalized_len = 0;
         self.stats = FillStats::default();
         self.violations.clear();
@@ -231,6 +263,8 @@ impl FillUnit {
         let had = self.end > self.seg;
         self.block = self.seg;
         self.end = self.seg;
+        self.seg_branches = BranchCounts::default();
+        self.block_branches = BranchCounts::default();
         had
     }
 
@@ -243,6 +277,7 @@ impl FillUnit {
     /// The segments the latest retire finalized, in retirement order,
     /// as their instructions and end reason (at most two; none when it
     /// finalized nothing). Valid until the next retire.
+    #[inline]
     pub fn finalized(&self) -> impl Iterator<Item = (&[SegmentInst], SegEndReason)> + '_ {
         self.finalized[..self.finalized_len]
             .iter()
@@ -253,8 +288,9 @@ impl FillUnit {
     /// the front end's [`crate::Sanitizer`] to record with cycle
     /// context. Violations accumulate whether or not a sanitizer is
     /// attached; in a healthy fill unit the list is always empty.
-    pub fn take_violations(&mut self) -> Vec<ViolationKind> {
-        std::mem::take(&mut self.violations)
+    #[inline]
+    pub fn drain_violations(&mut self) -> std::vec::Drain<'_, ViolationKind> {
+        self.violations.drain(..)
     }
 
     /// Feeds one retired instruction (correct path, program order).
@@ -300,6 +336,11 @@ impl FillUnit {
             promoted,
         };
         self.end += 1;
+        if promoted.is_some() {
+            self.block_branches.promoted += 1;
+        } else if kind == ControlKind::CondBranch {
+            self.block_branches.dynamic += 1;
+        }
 
         let ends_segment = kind.ends_segment();
         let ends_block = (kind == ControlKind::CondBranch && promoted.is_none()) || ends_segment;
@@ -337,8 +378,8 @@ impl FillUnit {
             return;
         }
         let insts = &self.buf[self.seg..self.block];
-        let promoted = insts.iter().filter(|i| i.promoted.is_some()).count();
-        let dynamic = insts.iter().filter(|i| i.needs_prediction()).count();
+        debug_assert_eq!(self.seg_branches, BranchCounts::of(insts));
+        let BranchCounts { dynamic, promoted } = self.seg_branches;
         self.stats.segments += 1;
         self.stats.segment_insts += insts.len() as u64;
         self.stats.promoted_embedded += promoted as u64;
@@ -360,6 +401,7 @@ impl FillUnit {
         };
         self.finalized_len += 1;
         self.seg = self.block;
+        self.seg_branches = BranchCounts::default();
     }
 
     /// Appends the open block, which fits, to the pending segment and
@@ -375,20 +417,17 @@ impl FillUnit {
                 block: len,
             });
             len = MAX_SEGMENT_INSTS - pending;
+            self.block_branches = BranchCounts::of(&self.buf[self.block..self.block + len]);
         }
         self.block += len;
         self.end = self.block;
+        self.seg_branches.add(self.block_branches);
+        self.block_branches = BranchCounts::default();
         if ends_segment {
             self.finalize(SegEndReason::RetIndTrap, tracer);
         } else if self.block - self.seg == MAX_SEGMENT_INSTS {
             self.finalize(SegEndReason::MaxSize, tracer);
-        } else if self
-            .pending()
-            .iter()
-            .filter(|i| i.needs_prediction())
-            .count()
-            == MAX_SEGMENT_BRANCHES
-        {
+        } else if self.seg_branches.dynamic == MAX_SEGMENT_BRANCHES {
             self.finalize(SegEndReason::MaxBranches, tracer);
         }
     }
@@ -458,6 +497,10 @@ impl FillUnit {
                 verdict,
             });
         }
+        let head = BranchCounts::of(&self.buf[self.block..self.block + take]);
+        self.seg_branches.add(head);
+        self.block_branches.dynamic -= head.dynamic;
+        self.block_branches.promoted -= head.promoted;
         self.block += take;
         // A performed split that still leaves the line non-full (chunk
         // granularity) is `Packed`, not `AtomicBlock`: the histograms

@@ -304,10 +304,14 @@ impl Sanitizer {
     /// Validates a freshly finalized segment before the trace-cache
     /// write. With a bias table, also checks that every promoted branch
     /// still has a live promoting entry.
+    #[inline]
     pub fn check_fill(&mut self, insts: &[SegmentInst], bias: Option<&BiasTable>) {
-        if !self.enabled {
-            return;
+        if self.enabled {
+            self.check_fill_enabled(insts, bias);
         }
+    }
+
+    fn check_fill_enabled(&mut self, insts: &[SegmentInst], bias: Option<&BiasTable>) {
         self.stats.checked_fills += 1;
         self.check_insts(CheckSite::Fill, insts);
         if let Some(bias) = bias {
@@ -327,12 +331,12 @@ impl Sanitizer {
     }
 
     /// Validates a segment delivered by a trace-cache hit.
+    #[inline]
     pub fn check_hit(&mut self, insts: &[SegmentInst]) {
-        if !self.enabled {
-            return;
+        if self.enabled {
+            self.stats.checked_hits += 1;
+            self.check_insts(CheckSite::Hit, insts);
         }
-        self.stats.checked_hits += 1;
-        self.check_insts(CheckSite::Hit, insts);
     }
 
     /// Validates one resident segment during a whole-cache audit.

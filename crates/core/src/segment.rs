@@ -90,10 +90,79 @@ impl SegmentInst {
 /// assert_eq!(seg.len(), 2);
 /// assert_eq!(seg.dynamic_branch_count(), 0);
 /// ```
+///
+/// Each line also carries its [`SlotMasks`], predecoded when the line is
+/// written, so a fetch reads the line's branch positions and directions
+/// from a few words instead of walking its instructions. The masks are a
+/// function of the instructions, so two segments are equal exactly when
+/// their instructions and end reasons are.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceSegment {
     insts: InlineVec<SegmentInst, MAX_SEGMENT_INSTS>,
     end_reason: SegEndReason,
+    masks: SlotMasks,
+}
+
+/// A line's predecoded slot masks: bit `i` describes instruction `i`.
+///
+/// Derived state: [`TraceSegment::new`] and every in-place rewrite of a
+/// line compute them from the instructions, and nothing else writes them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct SlotMasks {
+    /// Conditional branches.
+    pub(crate) cond: u16,
+    /// Conditional branches without a promoted direction: each consumes
+    /// one dynamic prediction ([`SegmentInst::needs_prediction`]).
+    pub(crate) dynamic: u16,
+    /// The embedded direction (`taken`) of every slot.
+    pub(crate) taken: u16,
+    /// Slots carrying a promoted direction (`promoted.is_some()`).
+    pub(crate) promoted: u16,
+    /// Slots whose promoted direction is taken (`promoted == Some(true)`).
+    pub(crate) promoted_taken: u16,
+    /// Direct and indirect calls, which push the return stack.
+    pub(crate) call: u16,
+}
+
+impl SlotMasks {
+    /// The masks of `insts` (at most [`MAX_SEGMENT_INSTS`]).
+    #[must_use]
+    pub(crate) fn of(insts: &[SegmentInst]) -> SlotMasks {
+        let mut m = SlotMasks::default();
+        for (i, si) in insts.iter().enumerate() {
+            let bit = 1u16 << i;
+            let cond = si.instr.is_cond_branch();
+            if cond {
+                m.cond |= bit;
+                if si.promoted.is_none() {
+                    m.dynamic |= bit;
+                }
+            }
+            if si.taken {
+                m.taken |= bit;
+            }
+            if let Some(dir) = si.promoted {
+                m.promoted |= bit;
+                if dir {
+                    m.promoted_taken |= bit;
+                }
+            }
+            if matches!(
+                si.instr.control_kind(),
+                ControlKind::Call | ControlKind::IndirectCall
+            ) {
+                m.call |= bit;
+            }
+        }
+        m
+    }
+}
+
+/// The mask of the first `n` slots (`n <= 16`).
+#[inline]
+#[must_use]
+pub(crate) fn prefix_mask(n: usize) -> u16 {
+    ((1u32 << n) - 1) as u16
 }
 
 impl TraceSegment {
@@ -105,10 +174,11 @@ impl TraceSegment {
     /// than three non-promoted conditional branches.
     #[must_use]
     pub fn new(insts: &[SegmentInst], end_reason: SegEndReason) -> TraceSegment {
-        check_shape(insts);
+        let masks = check_shape(insts);
         TraceSegment {
             insts: InlineVec::from_slice(insts),
             end_reason,
+            masks,
         }
     }
 
@@ -116,7 +186,7 @@ impl TraceSegment {
     /// checks as [`TraceSegment::new`] — how a trace-cache fill reuses
     /// a line's storage.
     pub(crate) fn assign(&mut self, insts: &[SegmentInst], end_reason: SegEndReason) {
-        check_shape(insts);
+        self.masks = check_shape(insts);
         self.insts.clear();
         self.insts.extend_from_slice(insts);
         self.end_reason = end_reason;
@@ -141,17 +211,27 @@ impl TraceSegment {
     }
 
     /// The instructions in order.
+    #[inline]
     #[must_use]
     pub fn insts(&self) -> &[SegmentInst] {
         self.insts.as_slice()
     }
 
-    /// Mutable access to the stored instructions, for the in-crate
-    /// fault-injection hooks only: mutations may break the structural
-    /// invariants [`TraceSegment::new`] enforces — that is the point —
-    /// and the sanitizer is the detector.
-    pub(crate) fn insts_mut(&mut self) -> &mut [SegmentInst] {
-        self.insts.as_mut_slice()
+    /// The predecoded slot masks.
+    #[inline]
+    #[must_use]
+    pub(crate) fn masks(&self) -> SlotMasks {
+        self.masks
+    }
+
+    /// Rewrites the stored instructions in place with `edit` and
+    /// predecodes the masks again — for the in-crate fault-injection
+    /// hook only: an edit may break the structural invariants
+    /// [`TraceSegment::new`] enforces — that is the point — and the
+    /// sanitizer is the detector.
+    pub(crate) fn edit(&mut self, edit: impl FnOnce(&mut [SegmentInst])) {
+        edit(self.insts.as_mut_slice());
+        self.masks = SlotMasks::of(self.insts.as_slice());
     }
 
     /// Why the fill unit finalized this segment.
@@ -164,13 +244,13 @@ impl TraceSegment {
     /// predictor slot when fetched).
     #[must_use]
     pub fn dynamic_branch_count(&self) -> usize {
-        self.insts.iter().filter(|i| i.needs_prediction()).count()
+        self.masks.dynamic.count_ones() as usize
     }
 
     /// Number of promoted branches embedded in the segment.
     #[must_use]
     pub fn promoted_count(&self) -> usize {
-        self.insts.iter().filter(|i| i.promoted.is_some()).count()
+        self.masks.promoted.count_ones() as usize
     }
 
     /// Matches the segment against up to three dynamic predictions.
@@ -191,17 +271,18 @@ impl TraceSegment {
     /// instructions are issued inactively by the caller.
     #[must_use]
     pub fn match_predictions(&self, preds: &[bool]) -> (usize, usize, bool) {
+        let mut dynamic = self.masks.dynamic;
         let mut used = 0;
-        for (i, inst) in self.insts.iter().enumerate() {
-            if inst.needs_prediction() {
-                let pred = preds.get(used).copied().unwrap_or(false);
-                used += 1;
-                if pred != inst.taken {
-                    // Partial match: everything after this branch is off
-                    // the predicted path.
-                    return (i + 1, used, false);
-                }
+        while dynamic != 0 {
+            let i = dynamic.trailing_zeros() as usize;
+            let pred = preds.get(used).copied().unwrap_or(false);
+            used += 1;
+            if pred != (self.masks.taken >> i & 1 != 0) {
+                // Partial match: everything after this branch is off
+                // the predicted path.
+                return (i + 1, used, false);
             }
+            dynamic &= dynamic - 1;
         }
         (self.insts.len(), used, true)
     }
@@ -251,9 +332,12 @@ pub(crate) fn assert_well_formed(len: usize, dynamic_branches: usize) {
     );
 }
 
-fn check_shape(insts: &[SegmentInst]) {
-    let branches = insts.iter().filter(|i| i.needs_prediction()).count();
-    assert_well_formed(insts.len(), branches);
+/// Asserts the limits of [`TraceSegment::new`] and returns the masks of
+/// `insts`.
+fn check_shape(insts: &[SegmentInst]) -> SlotMasks {
+    let masks = SlotMasks::of(&insts[..insts.len().min(MAX_SEGMENT_INSTS)]);
+    assert_well_formed(insts.len(), masks.dynamic.count_ones() as usize);
+    masks
 }
 
 /// Slice-level form of [`TraceSegment::has_short_backward_branch`], so

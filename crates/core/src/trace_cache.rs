@@ -529,27 +529,29 @@ impl TraceCache {
 
 /// Flips one embedded branch direction, promoted flag or instruction
 /// address of `segment`, chosen by `entropy` (see
-/// [`TraceCache::fault_corrupt`]).
+/// [`TraceCache::fault_corrupt`]); the segment predecodes its masks
+/// again after the edit.
 fn corrupt(segment: &mut TraceSegment, entropy: u64) {
-    let insts = segment.insts_mut();
-    let i = ((entropy >> 8) % insts.len() as u64) as usize;
-    match (entropy >> 16) % 3 {
-        0 => insts[i].taken = !insts[i].taken,
-        1 => {
-            insts[i].promoted = match insts[i].promoted {
-                Some(dir) => Some(!dir),
-                None => Some(true),
-            };
+    segment.edit(|insts| {
+        let i = ((entropy >> 8) % insts.len() as u64) as usize;
+        match (entropy >> 16) % 3 {
+            0 => insts[i].taken = !insts[i].taken,
+            1 => {
+                insts[i].promoted = match insts[i].promoted {
+                    Some(dir) => Some(!dir),
+                    None => Some(true),
+                };
+            }
+            _ => insts[i].pc = Addr::new(insts[i].pc.raw() ^ 1 ^ ((entropy >> 24) as u32 & 0xff)),
         }
-        _ => insts[i].pc = Addr::new(insts[i].pc.raw() ^ 1 ^ ((entropy >> 24) as u32 & 0xff)),
-    }
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segment::{SegEndReason, SegmentInst};
-    use tc_isa::Instr;
+    use crate::segment::{SegEndReason, SegmentInst, SlotMasks};
+    use tc_isa::{Cond, Instr, Reg};
 
     fn seg(start: u32, len: usize) -> TraceSegment {
         let insts: Vec<SegmentInst> = (0..len)
@@ -650,6 +652,84 @@ mod tests {
         assert!(tc.probe(Addr::new(4)).is_none());
         assert!(tc.probe(Addr::new(8)).is_some());
         assert_eq!(tc.stats().evictions, 1);
+    }
+
+    /// The masks recounted from the instructions, slot by slot.
+    fn recount(seg: &TraceSegment) -> SlotMasks {
+        let bits = |pick: &dyn Fn(&SegmentInst) -> bool| {
+            let picked = seg.insts().iter().enumerate().filter(|(_, si)| pick(si));
+            picked.fold(0u16, |m, (i, _)| m | 1 << i)
+        };
+        SlotMasks {
+            cond: bits(&|si| si.instr.is_cond_branch()),
+            dynamic: bits(&|si| si.instr.is_cond_branch() && si.promoted.is_none()),
+            taken: bits(&|si| si.taken),
+            promoted: bits(&|si| si.promoted.is_some()),
+            promoted_taken: bits(&|si| si.promoted == Some(true)),
+            call: bits(&|si| matches!(si.instr, Instr::Call { .. } | Instr::CallInd { .. })),
+        }
+    }
+
+    /// Every control kind, taken and not, promoted both ways.
+    fn mixed_insts() -> Vec<SegmentInst> {
+        let branch = Instr::Branch {
+            cond: Cond::Ne,
+            rs1: Reg::T0,
+            rs2: Reg::T1,
+            target: Addr::new(40),
+        };
+        let kinds = [
+            (Instr::Nop, false, None),
+            (branch, true, None),
+            (branch, false, Some(false)),
+            (
+                Instr::Call {
+                    target: Addr::new(7),
+                },
+                false,
+                None,
+            ),
+            (branch, true, Some(true)),
+            (
+                Instr::Jump {
+                    target: Addr::new(9),
+                },
+                false,
+                None,
+            ),
+            (branch, false, None),
+            (Instr::CallInd { base: Reg::T2 }, false, None),
+        ];
+        (0..)
+            .zip(kinds)
+            .map(|(pc, (instr, taken, promoted))| SegmentInst {
+                pc: Addr::new(pc),
+                instr,
+                taken,
+                promoted,
+            })
+            .collect()
+    }
+
+    /// The predecoded masks agree with a recount after `new`, `assign`
+    /// and each of `corrupt`'s three edits at every slot.
+    #[test]
+    fn masks_match_a_recount() {
+        let insts = mixed_insts();
+        let mut seg = TraceSegment::new(&insts, SegEndReason::MaxBranches);
+        assert_eq!(seg.masks(), recount(&seg));
+        assert_eq!(seg.masks().dynamic.count_ones(), 2);
+        seg.assign(&insts[1..5], SegEndReason::Packed);
+        assert_eq!(seg.masks(), recount(&seg));
+        seg.assign(&insts, SegEndReason::MaxBranches);
+        for mode in 0..3u64 {
+            for slot in 0..insts.len() as u64 {
+                let mut edited = seg.clone();
+                corrupt(&mut edited, mode << 16 | slot << 8 | 0x5a << 24);
+                assert_ne!(edited.insts(), seg.insts(), "mode {mode} slot {slot}");
+                assert_eq!(edited.masks(), recount(&edited), "mode {mode} slot {slot}");
+            }
+        }
     }
 
     #[test]

@@ -1,24 +1,32 @@
 //! A specification model of the paper's fetch mechanism, written from
 //! PAPER.md §1 and DESIGN.md §5 with plain `Vec`s: the bias table, the
-//! fill unit, one LRU set store, and the trace cache. `FrontEnd::retire`
-//! is driven against it on the retire streams of every workload, and
-//! `TraceCache` and `SetAssocCache` on seeded operation sequences.
-//! Where the paper leaves a choice open, the model makes the one that
-//! DESIGN.md §5 pins; one departs from the paper (`Bias::update`).
+//! fill unit, one LRU set store, the trace cache, and the trace-cache
+//! fetch body. `FrontEnd::retire` is driven against it on the retire
+//! streams of every workload, `FrontEnd::fetch` and `fetch_next` at the
+//! lines those streams leave resident, and `TraceCache` and
+//! `SetAssocCache` on seeded operation sequences. Where the paper leaves
+//! a choice open, the model makes the one that DESIGN.md §5 pins; one
+//! departs from the paper (`Bias::update`).
 
 use std::collections::BTreeMap;
 use std::mem::take;
 
-use tc_cache::{AccessResult, CacheConfig, CacheStats, SetAssocCache};
-use tc_core::{
-    FillOutcome, FillStats, FrontEnd, FrontEndConfig, PackingPolicy, SegEndReason, SegmentInst,
-    StaticPromotionTable, TraceCache, TraceCacheConfig, TraceCacheStats, TraceSegment,
+use tc_cache::{
+    AccessResult, CacheConfig, CacheStats, HierarchyConfig, MemoryHierarchy, SetAssocCache,
 };
-use tc_isa::{Addr, Cond, ExecRecord, Instr, Reg};
-use tc_predict::BiasConfig;
+use tc_core::{
+    FetchBundle, FetchOrigin, FetchStep, FillOutcome, FillStats, FrontEnd, FrontEndConfig, NextPc,
+    PackingPolicy, PredictorChoice, SegEndReason, SegmentInst, StaticPromotionTable,
+    TerminationReason, TraceCache, TraceCacheConfig, TraceCacheStats, TraceSegment,
+};
+use tc_isa::{Addr, Cond, ControlKind, ExecRecord, Instr, Reg};
+use tc_predict::{
+    BiasConfig, GlobalHistory, HybridPrediction, HybridPredictor, IndirectPredictor,
+    MultiPredictor, ReturnStack, SplitMultiPredictor,
+};
 use tc_trace::{DemotionCause, FaultLocus, PackVerdict as V, RingTracer, TraceEvent};
 use tc_workloads::rng::{Rng, Xoshiro256PlusPlus};
-use tc_workloads::WorkloadId;
+use tc_workloads::{Workload, WorkloadId};
 use PackingPolicy::{Atomic, Chunk, CostRegulated, Unregulated};
 
 type Segment = (Vec<SegmentInst>, SegEndReason);
@@ -596,5 +604,375 @@ fn set_associative_cache_follows_the_spec() {
     for i in 0..180 {
         let config = CacheConfig::new([1, 2, 8][i / 3 % 3], [1, 2, 4][i % 3], [16, 64][i / 9 % 2]);
         run_cache(config, 0x5E7A_0000 + i as u64);
+    }
+}
+
+/// A direction predictor of the fetch model.
+enum Direction {
+    Multi(MultiPredictor),
+    Split(SplitMultiPredictor),
+    Hybrid(HybridPredictor),
+}
+
+/// A delivered instruction: address, instruction, assumed direction,
+/// promoted flag and whether it issued actively.
+type Delivery = (Addr, Instr, Option<bool>, bool, bool);
+
+/// What one trace-cache fetch delivers and decides.
+#[derive(Debug, PartialEq)]
+struct Delivered {
+    insts: Vec<Delivery>,
+    active_len: usize,
+    next_pc: NextPc,
+    base_reason: TerminationReason,
+    predictions_used: usize,
+    /// The prediction context: history, tree entry and hybrid prediction.
+    history: u64,
+    mbp_entry: usize,
+    hybrid: Option<(Addr, HybridPrediction)>,
+}
+
+fn delivered(b: &FetchBundle) -> Delivered {
+    let insts = b.insts.iter();
+    Delivered {
+        insts: insts
+            .map(|i| (i.pc, i.instr, i.pred_taken, i.promoted, i.active))
+            .collect(),
+        active_len: b.active_len,
+        next_pc: b.next_pc,
+        base_reason: b.base_reason,
+        predictions_used: b.predictions_used,
+        history: b.pred.history.snapshot(),
+        mbp_entry: b.pred.mbp_entry,
+        hybrid: b.pred.hybrid,
+    }
+}
+
+/// The trace-cache fetch body (§3): the predictions, partial matching,
+/// inactive issue and the speculative history and return stack, walking
+/// the line one instruction at a time.
+struct FetchModel {
+    direction: Direction,
+    history: GlobalHistory,
+    /// The ideal return stack, top last.
+    ras: Vec<u64>,
+    indirect: IndirectPredictor,
+    partial_matching: bool,
+    inactive_issue: bool,
+}
+
+impl FetchModel {
+    fn new(config: &FrontEndConfig) -> FetchModel {
+        FetchModel {
+            direction: match config.predictor {
+                PredictorChoice::PaperMulti => Direction::Multi(MultiPredictor::paper()),
+                PredictorChoice::SplitMulti => Direction::Split(SplitMultiPredictor::paper()),
+                PredictorChoice::Hybrid => Direction::Hybrid(HybridPredictor::paper()),
+            },
+            history: GlobalHistory::new(),
+            ras: Vec::new(),
+            indirect: IndirectPredictor::default_size(),
+            partial_matching: config.partial_matching,
+            inactive_issue: config.inactive_issue,
+        }
+    }
+
+    /// A fetch at `pc` from `line`, resident and finalized for `end`.
+    fn fetch(&mut self, pc: Addr, line: &[SegmentInst], end: SegEndReason) -> Delivered {
+        let history = self.history;
+        let (dirs, mbp_entry, bandwidth) = match &self.direction {
+            Direction::Multi(p) => {
+                let m = p.predict(pc.byte_addr(), history);
+                (m.dirs, m.entry, 3)
+            }
+            Direction::Split(p) => {
+                let m = p.predict(pc.byte_addr(), history);
+                (m.dirs, m.entry, 3)
+            }
+            Direction::Hybrid(_) => ([false; 3], 0, 1),
+        };
+        // One prediction per non-promoted branch, in line order, while
+        // the predictor's bandwidth lasts; the hybrid predicts the
+        // branch at its own address.
+        let mut hybrid = None;
+        let mut preds = Vec::new();
+        for si in line.iter().filter(|si| si.needs_prediction()) {
+            if preds.len() == bandwidth {
+                break;
+            }
+            preds.push(match &self.direction {
+                Direction::Hybrid(h) => {
+                    let hp = h.predict(si.pc.byte_addr(), history);
+                    hybrid = Some((si.pc, hp));
+                    hp.dir
+                }
+                _ => dirs[preds.len()],
+            });
+        }
+        // The active prefix ends after the first branch predicted against
+        // its embedded direction, or before the first branch left without
+        // a prediction.
+        let (mut active, mut used, mut cut, mut full) = (line.len(), 0, false, true);
+        for (i, si) in line.iter().enumerate() {
+            if !si.needs_prediction() {
+                continue;
+            }
+            let Some(&p) = preds.get(used) else {
+                (active, cut, full) = (i, true, false);
+                break;
+            };
+            used += 1;
+            if p != si.taken {
+                (active, full) = (i + 1, false);
+                break;
+            }
+        }
+        // Without partial matching a diverging line gives its first block.
+        if !full && !cut && !self.partial_matching {
+            let first = line.iter().position(SegmentInst::needs_prediction);
+            let first = first.map_or(line.len(), |i| i + 1);
+            if active > first {
+                (active, used) = (first, 1);
+            }
+        }
+        // The active prefix pushes the history (promoted branches too)
+        // and the return stack; the rest issues inactively along the
+        // embedded path.
+        let mut insts = Vec::new();
+        let mut next_pred = preds.iter().copied();
+        let mut last = None;
+        for si in &line[..active] {
+            let cond = si.instr.is_cond_branch();
+            let dir = cond.then(|| {
+                si.promoted
+                    .unwrap_or_else(|| next_pred.next().unwrap_or(false))
+            });
+            if let Some(d) = dir {
+                self.history.push(d);
+            }
+            let kind = si.instr.control_kind();
+            if matches!(kind, ControlKind::Call | ControlKind::IndirectCall) {
+                self.ras.push(u64::from(si.pc.next()));
+            }
+            insts.push((si.pc, si.instr, dir, si.promoted.is_some(), true));
+            last = dir;
+        }
+        if self.inactive_issue {
+            for si in &line[active..] {
+                let dir = si.instr.is_cond_branch().then_some(si.taken);
+                insts.push((si.pc, si.instr, dir, si.promoted.is_some(), false));
+            }
+        }
+        let tail = &line[active - 1];
+        let next_pc = if cut {
+            NextPc::Known(tail.embedded_next())
+        } else if !full {
+            match tail.instr {
+                Instr::Branch { target, .. } if last == Some(true) => NextPc::Known(target),
+                _ => NextPc::Known(tail.pc.next()),
+            }
+        } else {
+            match tail.instr.control_kind() {
+                ControlKind::Return => NextPc::Return {
+                    predicted: self.ras.pop().map(|a| Addr::new(a as u32)),
+                },
+                ControlKind::IndirectJump | ControlKind::IndirectCall => NextPc::Indirect {
+                    pc: tail.pc,
+                    predicted: (self.indirect.predict(tail.pc.byte_addr()))
+                        .map(|t| Addr::new(t as u32)),
+                },
+                _ => NextPc::Known(tail.embedded_next()),
+            }
+        };
+        let base_reason = match (cut, full) {
+            (true, _) => TerminationReason::MaximumBrs,
+            (_, true) => TerminationReason::from(end),
+            _ => TerminationReason::PartialMatch,
+        };
+        Delivered {
+            insts,
+            active_len: active,
+            next_pc,
+            base_reason,
+            predictions_used: used,
+            history: history.snapshot(),
+            mbp_entry,
+            hybrid,
+        }
+    }
+
+    /// Trains the direction predictor with the outcomes of fetch `d` at
+    /// `pc`, as `FrontEnd::train` does.
+    fn train(&mut self, pc: Addr, d: &Delivered, outcomes: &[bool]) {
+        let mut history = GlobalHistory::new();
+        history.restore(d.history);
+        match &mut self.direction {
+            _ if outcomes.is_empty() => {}
+            Direction::Multi(p) => p.update(d.mbp_entry, outcomes),
+            Direction::Split(p) => p.update(pc.byte_addr(), history, outcomes),
+            Direction::Hybrid(p) => {
+                if let Some((at, hp)) = d.hybrid {
+                    p.update(at.byte_addr(), history, hp, outcomes[0]);
+                }
+            }
+        }
+    }
+}
+
+/// The return stack's contents, top last.
+fn stack(ras: &ReturnStack) -> Vec<u64> {
+    let mut ras = ras.clone();
+    let mut contents: Vec<u64> = std::iter::from_fn(|| ras.pop()).collect();
+    contents.reverse();
+    contents
+}
+
+/// The `candidates` that start a resident line.
+fn resident_starts<T: tc_trace::Tracer>(fe: &FrontEnd<T>, candidates: &[Addr]) -> Vec<Addr> {
+    let tc = fe.trace_cache().expect("configured");
+    let resident = candidates.iter().filter(|&&pc| tc.probe(pc).is_some());
+    resident.copied().collect()
+}
+
+/// 300 fetches against the model at the lines a 4,000-instruction retire
+/// stream of `workload` leaves resident, some of them corrupted first.
+fn check_fetch(workload: &Workload, seed: u64, config: FrontEndConfig, cov: &mut Coverage) {
+    let mut r = Xoshiro256PlusPlus::seed_from_u64(seed);
+    let at = format!("{}, seed {seed:#x}, {config:?}", workload.name());
+    let mut fe = FrontEnd::new(config);
+    let skip = r.gen_range(0usize..20_000);
+    let stream: Vec<_> = workload.interpreter().skip(skip).take(4_000).collect();
+    for rec in &stream {
+        fe.retire(rec);
+    }
+    let mut candidates: Vec<Addr> = stream.iter().map(|rec| rec.pc).collect();
+    candidates.sort_unstable();
+    candidates.dedup();
+    let mut starts = resident_starts(&fe, &candidates);
+    assert!(!starts.is_empty(), "{at}");
+    let (program, mut model) = (workload.program(), FetchModel::new(&config));
+    let mut mem = MemoryHierarchy::new(HierarchyConfig::paper_trace_cache());
+    for step in 0..300 {
+        let at = format!("{at}, step {step}");
+        if r.gen_bool(0.1) {
+            let entropy = r.next_u64();
+            assert!(fe.inject(FaultLocus::TcSegment, entropy), "{at}");
+            // A line whose first address was rewritten is tagged with it.
+            let tc = fe.trace_cache().expect("configured");
+            let moved = starts.iter().filter(|&&pc| tc.probe(pc).is_none());
+            let moved: Vec<Addr> = moved.copied().collect();
+            for old in moved {
+                candidates.push(Addr::new(old.raw() ^ 1 ^ ((entropy >> 24) as u32 & 0xff)));
+            }
+            starts = resident_starts(&fe, &candidates);
+            *cov.entry("corrupted").or_default() += 1;
+        }
+        if r.gen_bool(0.2) {
+            // A repair rewinds the history.
+            let h = r.next_u64();
+            fe.restore_history(h);
+            model.history.restore(h);
+        }
+        let pc = starts[r.gen_range(0..starts.len())];
+        let line = fe.trace_cache().and_then(|tc| tc.probe(pc)).map(owned);
+        let (line, end) = line.expect("resident");
+        let want = model.fetch(pc, &line, end);
+        if r.gen_bool(0.3) {
+            let got = fe.fetch_next(pc, program, &mut mem);
+            let next_pc = want.next_pc;
+            assert_eq!(
+                got,
+                FetchStep {
+                    next_pc,
+                    icache_latency: 0
+                },
+                "{at}"
+            );
+            *cov.entry("fetch_next").or_default() += 1;
+        } else {
+            let bundle = fe.fetch(pc, program, &mut mem);
+            assert_eq!(bundle.source, FetchOrigin::TraceCache, "{at}");
+            assert_eq!(delivered(&bundle), want, "{at}");
+            let outcomes: Vec<bool> = (0..want.predictions_used)
+                .map(|_| r.gen_bool(0.5))
+                .collect();
+            fe.train(&bundle.pred, &outcomes);
+            model.train(pc, &want, &outcomes);
+        }
+        if let NextPc::Indirect { pc, .. } = want.next_pc {
+            let target = Addr::new(r.gen_range(0u32..4096));
+            fe.train_indirect(pc, target);
+            model.indirect.update(pc.byte_addr(), u64::from(target));
+        }
+        assert_eq!(fe.history_snapshot(), model.history.snapshot(), "{at}");
+        assert_eq!(stack(&fe.ras_snapshot()), model.ras, "{at}");
+        let key = match want.base_reason {
+            TerminationReason::PartialMatch => "partial_match",
+            TerminationReason::MaximumBrs => "maximum_brs",
+            _ => "full_match",
+        };
+        *cov.entry(key).or_default() += 1;
+        let promoted = want.insts.iter().filter(|i| i.3 && i.4).count();
+        *cov.entry("promoted_active").or_default() += promoted as u64;
+        let inactive = want.insts.iter().filter(|i| !i.4).count();
+        *cov.entry("inactive").or_default() += inactive as u64;
+        if let NextPc::Return { predicted: Some(_) } = want.next_pc {
+            *cov.entry("return_predicted").or_default() += 1;
+        }
+    }
+}
+
+/// `FrontEnd::fetch` and `fetch_next` against the model at resident
+/// lines of every workload, under every direction predictor with partial
+/// matching and inactive issue each on and off, promotion on, and lines
+/// corrupted through the fault hook (the sanitizer off, so the corrupted
+/// lines are fetched).
+#[test]
+fn trace_cache_fetch_follows_the_spec() {
+    let mut combos = Vec::new();
+    for predictor in [
+        PredictorChoice::PaperMulti,
+        PredictorChoice::SplitMulti,
+        PredictorChoice::Hybrid,
+    ] {
+        for (partial_matching, inactive_issue) in
+            [(true, true), (true, false), (false, true), (false, false)]
+        {
+            combos.push((predictor, partial_matching, inactive_issue));
+        }
+    }
+    let mut cov = Coverage::new();
+    for (wi, workload) in WorkloadId::all()
+        .into_iter()
+        .map(WorkloadId::build)
+        .enumerate()
+    {
+        for k in 0..4 {
+            let (predictor, partial_matching, inactive_issue) = combos[(wi * 4 + k) % combos.len()];
+            let config = FrontEndConfig {
+                packing: [Atomic, CostRegulated][k % 2],
+                promotion: Some(BiasConfig::paper(8)),
+                predictor,
+                partial_matching,
+                inactive_issue,
+                sanitize: false,
+                ..FrontEndConfig::baseline()
+            };
+            let seed = 0xFE7C_0000 + ((wi as u64) << 8) + k as u64;
+            check_fetch(&workload, seed, config, &mut cov);
+        }
+    }
+    // Every outcome of the match occurs, on promoted and corrupted lines.
+    for key in [
+        "full_match",
+        "partial_match",
+        "maximum_brs",
+        "promoted_active",
+        "inactive",
+        "corrupted",
+        "fetch_next",
+        "return_predicted",
+    ] {
+        assert!(cov.get(key).copied().unwrap_or(0) > 50, "{key}: {cov:?}");
     }
 }

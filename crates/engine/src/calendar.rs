@@ -32,6 +32,7 @@ impl FuCalendar {
 
     /// Allocates one slot at the earliest cycle `>= earliest` with
     /// capacity, and returns that cycle.
+    #[inline]
     pub fn allocate(&mut self, earliest: u64) -> u64 {
         let earliest = earliest.max(self.base);
         let mut idx = (earliest - self.base) as usize;

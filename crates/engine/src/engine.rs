@@ -152,6 +152,11 @@ impl ExecutionEngine {
     ///
     /// The caller is responsible for window-capacity checks
     /// ([`ExecutionEngine::has_room`]) before fetching more.
+    ///
+    /// Always inlined: the simulator calls it once per issued
+    /// instruction, and inlined its result stays in registers instead
+    /// of going through memory.
+    #[inline(always)]
     pub fn issue(
         &mut self,
         rec: &ExecRecord,

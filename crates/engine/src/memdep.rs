@@ -55,6 +55,7 @@ impl MemDepTracker {
 
     /// Records a store: its address is generated at `addr_known` (its
     /// schedule time) and its data is visible at `done`.
+    #[inline]
     pub fn store(&mut self, addr: u64, addr_known: u64, done: u64) {
         let slot = self.store_done.entry(addr).or_insert(0);
         *slot = (*slot).max(done);
@@ -63,6 +64,7 @@ impl MemDepTracker {
 
     /// Earliest cycle a load of `addr` that is ready at `ready` may
     /// begin, under the given scheduling mode.
+    #[inline]
     #[must_use]
     pub fn load_start(&self, addr: u64, ready: u64, perfect: bool) -> u64 {
         let same_addr = self.store_done.get(&addr).copied().unwrap_or(0);

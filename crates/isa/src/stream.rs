@@ -12,7 +12,15 @@ use crate::program::Addr;
 /// Together they record everything the timing model needs: the PC, the
 /// decoded instruction, the *architectural* next PC (i.e. the correct-path
 /// successor), the branch outcome, and the data address touched.
+///
+/// The fields are laid out in declaration order, which puts the 12-byte
+/// [`Instr`] at offset 4. The interpreter assembles an `Instr` as a
+/// 4-byte head and an 8-byte tail, and at offset 4 a record copies it in
+/// the same two pieces; at the offset Rust's reordering picked (16), the
+/// copy into the record queue read an 8-byte word back across both
+/// stores, which the CPU cannot forward from its store buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C)]
 pub struct ExecRecord {
     /// Address of the instruction.
     pub pc: Addr,

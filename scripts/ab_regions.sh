@@ -3,17 +3,17 @@
 #
 #   scripts/ab_regions.sh REV [WORKLOAD] [ROUNDS]
 #
-# A is revision REV (a git worktree in a temporary directory, removed on
-# exit), B the working tree this script runs from. WORKLOAD is one of
+# A is revision REV (exported with `git archive` into a temporary
+# directory, removed on exit), B the working tree this script runs from. WORKLOAD is one of
 # twbench's simulation workloads, `tc-full` (default), `ic-rv` or
 # `sampled`, with twbench's programs, preset, region length and region
 # starts (seed 0); ROUNDS (default 5) is how many times each region runs
 # on each side.
 #
-# Both sides are linked into one throwaway binary: the worktree's
+# Both sides are linked into one throwaway binary: the export's
 # packages are renamed tc-* -> tb-* (with `package =` renames in its
 # workspace dependencies, so its sources still say `tc_sim`), and the
-# binary depends on tb-sim from the worktree and tc-sim from the working
+# binary depends on tb-sim from the export and tc-sim from the working
 # tree. It first runs every region once on each side and requires the
 # two report JSONs to be identical, then times A and B alternately on
 # each region, swapping which goes first every round. Timing both in one
@@ -39,14 +39,11 @@ rounds=${3:-5}
 change=$PWD
 tmp=$(mktemp -d -t ab-regions.XXXXXX)
 parent=$tmp/parent
-cleanup() {
-  git -C "$change" worktree remove --force "$parent" >/dev/null 2>&1 || true
-  rm -rf "$tmp"
-}
-trap cleanup EXIT
-git worktree add --quiet --detach "$parent" "$rev"
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$parent"
+git archive "$rev" | tar -x -C "$parent"
 
-# Rename the worktree's packages so both copies fit in one build.
+# Rename the export's packages so both copies fit in one build.
 python3 - "$parent" <<'EOF'
 import pathlib, re, sys
 

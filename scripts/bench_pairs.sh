@@ -5,11 +5,12 @@
 #
 # REV is the parent revision, PAIRS the number of pairs (default 10) and
 # WORKLOADS a comma list (default: every workload BENCHMARK.json lists).
-# The change is the working tree this script runs from; the parent is a
-# git worktree of REV in a temporary directory, removed on exit. Each
-# side builds its own examples/twbench and runs BENCHMARK.json's command
-# from its own tree, untraced, for `run_seconds`. Pair i uses seed i and
-# runs the parent first when i is odd, the change first when i is even.
+# The change is the working tree this script runs from; the parent is
+# REV exported with `git archive` into a temporary directory, removed on
+# exit. Each side builds its own examples/twbench and runs
+# BENCHMARK.json's command from its own tree, untraced, for
+# `run_seconds`. Pair i uses seed i and runs the parent first when i is
+# odd, the change first when i is even.
 #
 # Prints every pair's end-to-end values, then per workload and metric the
 # two medians, the change/parent ratio and the pairs the change won, and
@@ -34,12 +35,9 @@ workloads=${3:-$(spec 'print(",".join(w["name"] for w in b["workloads"]))')}
 change=$PWD
 tmp=$(mktemp -d -t bench-pairs.XXXXXX)
 parent=$tmp/parent
-cleanup() {
-  git -C "$change" worktree remove --force "$parent" >/dev/null 2>&1 || true
-  rm -rf "$tmp"
-}
-trap cleanup EXIT
-git worktree add --quiet --detach "$parent" "$rev"
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$parent"
+git archive "$rev" | tar -x -C "$parent"
 
 for tree in "$parent" "$change"; do
   echo "==> building twbench in $tree" >&2

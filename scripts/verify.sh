@@ -31,6 +31,13 @@ echo "==> cargo test --release (functional core)"
 cargo test --release --offline -q -p tc-isa
 cargo test --release --offline -q -p tc-workloads --test lockstep
 
+echo "==> cargo test --release (front-end spec)"
+# The specification model again under the benchmark's codegen, where the
+# fill unit's debug assertion (running branch counts equal a recount) is
+# off: the predecoded line masks and the running counts must match the
+# model on their own.
+cargo test --release --offline -q -p tc-core --test spec
+
 echo "==> tw lint --all"
 target/release/tw lint --all
 
