@@ -318,26 +318,6 @@ impl<T: Tracer> FrontEnd<T> {
         }
     }
 
-    /// Returns every structure to the state of a new front end built
-    /// from the same configuration — empty trace cache, untrained
-    /// predictors, zero statistics — keeping the tracer, a static
-    /// promotion table and any bias-table overrides.
-    pub fn reset(&mut self) {
-        if let Some(tc) = self.trace_cache.as_deref_mut() {
-            *tc = TraceCache::new(*tc.config());
-        }
-        if let Some(fill) = self.fill.as_mut() {
-            fill.reset();
-        }
-        self.predictor = Predictor::new(self.config.predictor);
-        self.history = GlobalHistory::new();
-        self.ras = ReturnStack::for_depth(self.config.ras_depth);
-        self.indirect = IndirectPredictor::default_size();
-        self.stats = FetchStats::new();
-        self.sanitizer = Sanitizer::new(self.config.sanitize);
-        self.quarantine = QuarantineStats::default();
-    }
-
     /// The attached tracer.
     #[must_use]
     pub fn tracer(&self) -> &T {

@@ -207,23 +207,6 @@ impl FillUnit {
         }
     }
 
-    /// Returns to the state of a new fill unit: nothing pending or
-    /// finalized, zero statistics, and a bias table that has seen no
-    /// branch (its overrides kept). A static promotion table is kept.
-    pub fn reset(&mut self) {
-        if let Promoter::Dynamic(bias) = &mut self.promoter {
-            bias.reset();
-        }
-        self.seg = 0;
-        self.block = 0;
-        self.end = 0;
-        self.seg_branches = BranchCounts::default();
-        self.block_branches = BranchCounts::default();
-        self.finalized_len = 0;
-        self.stats = FillStats::default();
-        self.violations.clear();
-    }
-
     /// The packing policy in force.
     #[must_use]
     pub fn policy(&self) -> PackingPolicy {
@@ -918,35 +901,6 @@ mod tests {
         });
         assert_eq!(f.finalized().count(), 0);
         assert_eq!(f.pending_len(), 1);
-    }
-
-    /// A reset fill unit behaves as a new one.
-    #[test]
-    fn reset_matches_a_new_unit() {
-        let bias = || {
-            BiasTable::new(BiasConfig {
-                entries: 64,
-                threshold: 4,
-                counter_bits: 8,
-                tagged: true,
-            })
-        };
-        let mut used = Collector::new(FillUnit::new(PackingPolicy::Unregulated, Some(bias())));
-        for _ in 0..8 {
-            feed_loop_iteration(&mut used);
-        }
-        feed_loop_iteration(&mut used);
-        used.unit.reset();
-        let mut fresh = Collector::new(FillUnit::new(PackingPolicy::Unregulated, Some(bias())));
-        for f in [&mut used, &mut fresh] {
-            f.segments.clear();
-            for _ in 0..12 {
-                feed_loop_iteration(f);
-            }
-        }
-        assert_eq!(used.segments, fresh.segments);
-        assert_eq!(used.stats(), fresh.stats());
-        assert_eq!(used.unit.pending_len(), fresh.unit.pending_len());
     }
 
     #[test]

@@ -167,16 +167,6 @@ impl BiasTable {
         }
     }
 
-    /// Forgets every branch's history and the promotion counters, as a
-    /// new table would, keeping the configuration and any attached
-    /// overrides.
-    pub fn reset(&mut self) {
-        self.entries.fill(None);
-        self.promotions = 0;
-        self.demotions = 0;
-        self.class_promotions = [0; 4];
-    }
-
     /// Attaches per-branch promotion overrides (a parsed `tw-plan/v1`
     /// plan). A branch with a [`PlanAction::Never`] override is never
     /// promoted; a [`PlanAction::Threshold`] override replaces the

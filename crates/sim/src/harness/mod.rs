@@ -7,7 +7,9 @@
 //! * [`registry`] — the single source of truth for named configuration
 //!   presets (`icache`, `baseline`, `packing`, `promotion`,
 //!   `promo-pack`, `headline`, …). CLI parsing and `list` output are
-//!   generated from it, so a preset added here appears everywhere.
+//!   generated from it, so a preset added here appears everywhere. It
+//!   also holds [`fault_plan`], the one rule that turns the CLI's fault
+//!   flags or a request's fault fields into a fault plan.
 //! * [`runner`] — the parallel matrix runner: one pool of scoped worker
 //!   threads runs independent `(benchmark, configuration)` cells with
 //!   deterministic, caller-ordered result collection, under
@@ -76,7 +78,7 @@ pub use lint::{
 };
 pub use parse::{parse_json, Value};
 pub use registry::{
-    find_bench, lookup, preset, presets, standard_five, ConfigPreset, STANDARD_FIVE,
+    fault_plan, find_bench, lookup, preset, presets, standard_five, ConfigPreset, STANDARD_FIVE,
 };
 pub use runner::{default_jobs, run_matrix, run_matrix_with, MatrixRunner, MAX_JOBS};
 pub use serve::{ServeConfig, ServeSummary, Server};

@@ -409,13 +409,12 @@ fn route(request: &Request, state: &ServeState) -> Response {
         }
         ("POST", "/v1/sim") => job_response(JobKind::Sim, request, state),
         ("POST", "/v1/compare") => job_response(JobKind::Compare, request, state),
-        ("POST", "/v1/faults") => job_response(JobKind::Faults, request, state),
         ("POST", "/v1/trace") => job_response(JobKind::Trace, request, state),
         ("POST", "/v1/analyze") => job_response(JobKind::Analyze, request, state),
         (
             _,
             "/healthz" | "/v1/stats" | "/v1/presets" | "/v1/workloads" | "/v1/shutdown" | "/v1/sim"
-            | "/v1/compare" | "/v1/faults" | "/v1/trace" | "/v1/analyze",
+            | "/v1/compare" | "/v1/trace" | "/v1/analyze",
         ) => Response::json(
             405,
             error_body(405, &format!("{} does not accept {}", path, request.method)),
@@ -547,6 +546,9 @@ fn run_job(state: &ServeState, spec: &JobSpec) -> Result<String, TwError> {
     match spec.kind {
         JobKind::Sim => {
             let mut config = preset_config(spec)?.with_max_insts(spec.insts);
+            if let Some(plan) = &spec.fault {
+                config = config.with_fault_plan(plan.clone());
+            }
             if spec.perfect {
                 config = config.with_perfect_disambiguation();
             }
@@ -601,21 +603,6 @@ fn run_job(state: &ServeState, spec: &JobSpec) -> Result<String, TwError> {
                 spec.kind,
                 spec,
                 vec![("configs", configs), ("reports", reports_to_json(&reports))],
-            ))
-        }
-        JobKind::Faults => {
-            let fault = spec
-                .fault
-                .as_ref()
-                .ok_or_else(|| TwError::runtime("internal error: faults job without a plan"))?;
-            let config = preset_config(spec)?
-                .with_max_insts(spec.insts)
-                .with_fault_plan(fault.plan());
-            let report = Processor::new(config).run(&workload);
-            Ok(envelope(
-                spec.kind,
-                spec,
-                vec![("report", report_to_json(&report))],
             ))
         }
         JobKind::Trace => {

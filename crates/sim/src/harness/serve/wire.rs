@@ -9,7 +9,7 @@
 //! string (aliases resolved, defaults filled in), so `"preset": "tc"`
 //! and `"preset": "baseline"` share one cache entry.
 
-use tc_fault::{FaultLocus, FaultPlan};
+use tc_fault::FaultPlan;
 use tc_trace::EventFilter;
 use tc_workloads::WorkloadId;
 
@@ -21,16 +21,15 @@ use crate::harness::trace::{DEFAULT_TRACE_INTERVAL, DEFAULT_TRACE_LIMIT};
 /// Schema tag carried by every response body.
 pub const WIRE_SCHEMA: &str = "tw-serve/v1";
 
-/// The five job endpoints.
+/// The four job endpoints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobKind {
-    /// One benchmark under one preset (`POST /v1/sim`).
+    /// One benchmark under one preset, with or without a fault plan
+    /// (`POST /v1/sim`).
     Sim,
     /// One benchmark across the standard five presets
     /// (`POST /v1/compare`).
     Compare,
-    /// One benchmark with fault injection (`POST /v1/faults`).
-    Faults,
     /// One traced run, exported as Chrome `trace_event` JSON
     /// (`POST /v1/trace`).
     Trace,
@@ -46,40 +45,9 @@ impl JobKind {
         match self {
             JobKind::Sim => "sim",
             JobKind::Compare => "compare",
-            JobKind::Faults => "faults",
             JobKind::Trace => "trace",
             JobKind::Analyze => "analyze",
         }
-    }
-}
-
-/// Fault-injection parameters (the `faults` job).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultSpec {
-    /// RNG seed for the injection schedule.
-    pub seed: u64,
-    /// Per-cycle injection probability (`rate` XOR `at_cycles`).
-    pub rate: Option<f64>,
-    /// Explicit injection cycles.
-    pub at_cycles: Vec<u64>,
-    /// Target loci, canonical names, sorted; empty means all.
-    pub targets: Vec<&'static str>,
-}
-
-impl FaultSpec {
-    /// Builds the corresponding [`FaultPlan`].
-    #[must_use]
-    pub fn plan(&self) -> FaultPlan {
-        let plan = match self.rate {
-            Some(rate) => FaultPlan::with_rate(self.seed, rate),
-            None => FaultPlan::at_cycles(self.seed, self.at_cycles.clone()),
-        };
-        let loci: Vec<FaultLocus> = self
-            .targets
-            .iter()
-            .filter_map(|name| FaultLocus::parse(name).ok())
-            .collect();
-        plan.targeting(&loci)
     }
 }
 
@@ -121,8 +89,9 @@ pub struct JobSpec {
     pub timeline: bool,
     /// Auto-build and apply a promotion plan (`sim` only).
     pub auto_plan: bool,
-    /// Fault parameters (`faults` only).
-    pub fault: Option<FaultSpec>,
+    /// The fault plan (`sim` only), built by
+    /// [`crate::harness::fault_plan`].
+    pub fault: Option<FaultPlan>,
     /// Trace parameters (`trace` only).
     pub trace: Option<TraceSpec>,
 }
@@ -141,9 +110,17 @@ const COMMON_FIELDS: &[&str] = &["bench", "insts"];
 
 fn allowed_fields(kind: JobKind) -> &'static [&'static str] {
     match kind {
-        JobKind::Sim => &["preset", "perfect", "timeline", "plan"],
+        JobKind::Sim => &[
+            "preset",
+            "perfect",
+            "timeline",
+            "plan",
+            "seed",
+            "rate",
+            "at_cycles",
+            "targets",
+        ],
         JobKind::Compare => &["perfect"],
-        JobKind::Faults => &["preset", "seed", "rate", "at_cycles", "targets"],
         JobKind::Trace => &["preset", "events", "interval", "limit"],
         JobKind::Analyze => &[],
     }
@@ -235,10 +212,9 @@ pub fn parse_job(kind: JobKind, body: &[u8], limits: &JobLimits) -> Result<JobSp
         }
     };
 
-    // Presets: `compare` pins the standard five; `faults` defaults to
-    // the paper's headline machine; everything else to `baseline`.
+    // Presets: `compare` pins the standard five; everything else
+    // defaults to `baseline`.
     let preset = match doc.get("preset") {
-        None if kind == JobKind::Faults => "headline",
         None => "baseline",
         Some(v) => {
             let name = want_str("preset", v)?;
@@ -269,73 +245,30 @@ pub fn parse_job(kind: JobKind, body: &[u8], limits: &JobLimits) -> Result<JobSp
         },
     };
 
-    let fault = if kind == JobKind::Faults {
-        let seed = match doc.get("seed") {
-            None => 0xA5,
-            Some(v) => want_u64("seed", v)?,
-        };
-        let rate = match doc.get("rate") {
-            None => None,
-            Some(v) => {
-                let r = v
-                    .as_f64()
-                    .ok_or_else(|| bad("field \"rate\": expected a number"))?;
-                if !(0.0..=1.0).contains(&r) {
-                    return Err(bad(format!("field \"rate\": {r} is outside 0..=1")));
-                }
-                Some(r)
-            }
-        };
-        let at_cycles = match doc.get("at_cycles") {
-            None => Vec::new(),
-            Some(v) => {
-                let items = v
-                    .as_array()
-                    .ok_or_else(|| bad("field \"at_cycles\": expected an array of cycles"))?;
-                let mut cycles = Vec::with_capacity(items.len());
-                for item in items {
-                    cycles.push(want_u64("at_cycles", item)?);
-                }
-                cycles.sort_unstable();
-                cycles.dedup();
-                cycles
-            }
-        };
-        match (rate.is_some(), at_cycles.is_empty()) {
-            (true, false) => {
-                return Err(bad(
-                    "fields \"rate\" and \"at_cycles\" are mutually exclusive",
-                ))
-            }
-            (false, true) => return Err(bad("faults: need \"rate\" or \"at_cycles\"")),
-            _ => {}
-        }
-        let targets = match doc.get("targets") {
-            None => Vec::new(),
-            Some(v) => {
-                let items = v
-                    .as_array()
-                    .ok_or_else(|| bad("field \"targets\": expected an array of locus names"))?;
-                let mut names = Vec::with_capacity(items.len());
-                for item in items {
-                    let token = want_str("targets", item)?;
-                    let locus = FaultLocus::parse(token).map_err(bad)?;
-                    names.push(locus.name());
-                }
-                names.sort_unstable();
-                names.dedup();
-                names
-            }
-        };
-        Some(FaultSpec {
-            seed,
-            rate,
-            at_cycles,
-            targets,
-        })
-    } else {
-        None
+    // Only `sim` accepts the fault fields, so other kinds get `None`.
+    let list = |field: &str, items: &str| {
+        doc.get(field)
+            .map(|v| {
+                v.as_array()
+                    .ok_or_else(|| bad(format!("field {field:?}: expected an array of {items}")))
+            })
+            .transpose()
     };
+    let seed = doc.get("seed").map(|v| want_u64("seed", v)).transpose()?;
+    let rate = doc
+        .get("rate")
+        .map(|v| {
+            v.as_f64()
+                .ok_or_else(|| bad("field \"rate\": expected a number"))
+        })
+        .transpose()?;
+    let at_cycles = list("at_cycles", "cycles")?
+        .map(|items| items.iter().map(|v| want_u64("at_cycles", v)).collect())
+        .transpose()?;
+    let targets: Option<Vec<&str>> = list("targets", "locus names")?
+        .map(|items| items.iter().map(|v| want_str("targets", v)).collect())
+        .transpose()?;
+    let fault = registry::fault_plan(seed, rate, at_cycles, targets.as_deref())?;
 
     let trace = if kind == JobKind::Trace {
         let events = match doc.get("events") {
@@ -407,22 +340,20 @@ impl JobSpec {
             u8::from(self.timeline),
             u8::from(self.auto_plan),
         );
-        if let Some(fault) = &self.fault {
-            let _ = write!(key, "|seed={}", fault.seed);
-            match fault.rate {
-                Some(rate) => {
-                    // Bit-exact: two rates hash alike iff they are the
-                    // same f64.
-                    let _ = write!(key, "|rate={:016x}", rate.to_bits());
-                }
-                None => {
-                    let _ = write!(key, "|cycles=");
-                    for (i, c) in fault.at_cycles.iter().enumerate() {
-                        let _ = write!(key, "{}{c}", if i > 0 { "," } else { "" });
-                    }
-                }
-            }
-            let _ = write!(key, "|targets={}", fault.targets.join(","));
+        if let Some(plan) = &self.fault {
+            // The plan is canonical (cycles sorted and deduplicated,
+            // targets a set), and the rate is bit-exact: two rates hash
+            // alike iff they are the same f64.
+            let cycles: Vec<String> = plan.cycles.iter().map(u64::to_string).collect();
+            let targets: Vec<&str> = plan.enabled_targets().iter().map(|l| l.name()).collect();
+            let _ = write!(
+                key,
+                "|seed={}|rate={:016x}|cycles={}|targets={}",
+                plan.seed,
+                plan.rate.to_bits(),
+                cycles.join(","),
+                targets.join(",")
+            );
         }
         if let Some(trace) = &self.trace {
             let _ = write!(
@@ -564,21 +495,27 @@ mod tests {
             r#"{"bench": "compress", "timeline": true}"#
         )
         .contains("unknown field"));
-        assert!(usage(JobKind::Faults, r#"{"bench": "compress"}"#).contains("rate"));
-        assert!(usage(
-            JobKind::Faults,
-            r#"{"bench": "compress", "rate": 0.5, "at_cycles": [1]}"#
-        )
-        .contains("mutually exclusive"));
+        // The fault fields belong to sim and follow the one rule in
+        // `registry::fault_plan`.
         assert!(
-            usage(JobKind::Faults, r#"{"bench": "compress", "rate": 1.5}"#)
-                .contains("outside 0..=1")
+            usage(JobKind::Compare, r#"{"bench": "compress", "rate": 0.1}"#)
+                .contains("unknown field")
         );
-        assert!(usage(
-            JobKind::Faults,
-            r#"{"bench": "compress", "rate": 0.1, "targets": ["bogus"]}"#
-        )
-        .contains("bogus"));
+        for body in [
+            r#"{"bench": "compress", "seed": 1}"#,
+            r#"{"bench": "compress", "targets": ["ras"]}"#,
+            r#"{"bench": "compress", "rate": 0.5, "at_cycles": [1]}"#,
+            r#"{"bench": "compress", "rate": 0}"#,
+            r#"{"bench": "compress", "rate": 1.5}"#,
+            r#"{"bench": "compress", "at_cycles": []}"#,
+            r#"{"bench": "compress", "rate": 0.1, "targets": []}"#,
+            r#"{"bench": "compress", "rate": 0.1, "targets": ["bogus"]}"#,
+            r#"{"bench": "compress", "rate": "high"}"#,
+            r#"{"bench": "compress", "rate": 0.1, "seed": -1}"#,
+        ] {
+            let msg = usage(JobKind::Sim, body);
+            assert_eq!(msg.lines().count(), 1, "{body}: {msg}");
+        }
         assert!(
             usage(JobKind::Trace, r#"{"bench": "compress", "events": "zap"}"#).contains("events")
         );
@@ -588,21 +525,28 @@ mod tests {
     }
 
     #[test]
-    fn fault_spec_canonicalizes_targets_and_cycles() {
+    fn fault_fields_share_a_canonical_cache_key() {
         let job = parse(
-            JobKind::Faults,
+            JobKind::Sim,
             r#"{"bench": "compress", "at_cycles": [30, 10, 10, 20], "targets": ["ras", "bias", "ras"]}"#,
         )
         .unwrap();
-        let fault = job.fault.as_ref().unwrap();
-        assert_eq!(fault.at_cycles, [10, 20, 30]);
-        assert_eq!(fault.targets.len(), 2);
+        assert_eq!(job.preset, "baseline");
+        assert_eq!(job.fault.as_ref().unwrap().cycles, [10, 20, 30]);
+        let same = parse(
+            JobKind::Sim,
+            r#"{"bench": "compress", "seed": 1, "at_cycles": [20, 30, 10], "targets": ["bias", "ras"]}"#,
+        )
+        .unwrap();
+        assert_eq!(job.cache_key(), same.cache_key(), "the seed defaults to 1");
+        let plain = parse(JobKind::Sim, r#"{"bench": "compress"}"#).unwrap();
+        assert!(plain.fault.is_none());
         assert_eq!(
-            job.preset, "headline",
-            "faults default to the headline machine"
+            plain.cache_key(),
+            "sim|bench=compress|preset=baseline|insts=200000|perfect=0|timeline=0|plan=0",
+            "a fault-free request keeps its key"
         );
-        let plan = fault.plan();
-        assert_eq!(plan.cycles, [10, 20, 30]);
+        assert_ne!(job.cache_key(), plain.cache_key());
     }
 
     #[test]

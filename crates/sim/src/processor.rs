@@ -135,13 +135,13 @@ pub struct Processor<T: Tracer = NoopTracer> {
     /// stays in place here until it retires: the first
     /// `engine.occupancy()` records are in flight (issued, in program
     /// order, so the engine's retire times line up with them), and the
-    /// rest are the oracle look-ahead. Held as a field so repeated runs
-    /// and measurement windows reuse the allocation.
+    /// rest are the oracle look-ahead. Held as a field so measurement
+    /// windows reuse the allocation.
     oracle: VecDeque<ExecRecord>,
     /// Byte address → plan class index, present when a promotion plan
     /// is attached; used to attribute branch activity per class.
     plan_classes: Option<std::collections::HashMap<u64, usize>>,
-    /// Whether a run has left state behind for the next one to reset.
+    /// Whether the one run has started.
     ran: bool,
 }
 
@@ -186,15 +186,14 @@ impl<T: Tracer> Processor<T> {
         self.front_end.tracer()
     }
 
-    /// Sets the [`ExecutionMode`] of the following runs.
-    pub fn set_mode(&mut self, mode: ExecutionMode) {
-        self.config.mode = mode;
-    }
-
     /// Runs the workload to its dynamic-instruction budget (or
-    /// completion) and reports, honoring the configured
-    /// [`ExecutionMode`]. Each run starts from a new machine, so a
-    /// processor run again reports what a new processor would.
+    /// completion) from a new machine and reports, honoring the
+    /// configured [`ExecutionMode`].
+    ///
+    /// # Panics
+    ///
+    /// A processor runs once: a second `run` or [`Processor::run_from`]
+    /// panics. Build a new processor for each run.
     pub fn run(&mut self, workload: &Workload) -> SimReport {
         self.run_from(workload, workload.machine())
     }
@@ -207,13 +206,17 @@ impl<T: Tracer> Processor<T> {
     /// bit-identical to an unresumed `--fast-forward n` run: the mode's
     /// `skip` counts stream *position*, so instructions the restored
     /// machine has already retired count toward it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this processor has already run.
     pub fn run_from(&mut self, workload: &Workload, machine: Machine) -> SimReport {
-        if std::mem::replace(&mut self.ran, true) {
-            self.reset();
-        }
+        assert!(
+            !std::mem::replace(&mut self.ran, true),
+            "a Processor runs once; build a new one for each run"
+        );
         let program = workload.program();
         let mut interp = Interpreter::with_machine(program, machine);
-        self.oracle.clear();
         let mut rs = RunState {
             c: Counters::default(),
             acct: CycleAccounting::default(),
@@ -239,9 +242,7 @@ impl<T: Tracer> Processor<T> {
         };
 
         // Let the machine drain. `total_cycles` bounds every pending
-        // retire time, so draining to it empties the window without
-        // advancing the engine clocks past the run (which would poison
-        // a later run on the same processor).
+        // retire time, so draining to it empties the window.
         let total_cycles = rs.cycle.max(rs.last_retire);
         self.drain_to(total_cycles);
         // Final sweep: audit every segment still resident in the cache.
@@ -253,17 +254,6 @@ impl<T: Tracer> Processor<T> {
             interp.error()
         );
         self.report(workload, &rs.c, rs.acct, total_cycles, sampling)
-    }
-
-    /// Returns the front end, engine, memory and fault injector to the
-    /// state [`Processor::with_tracer`] builds, keeping the tracer and
-    /// the record queue's allocation.
-    fn reset(&mut self) {
-        self.front_end.reset();
-        self.engine = ExecutionEngine::new(self.config.engine);
-        self.mem = MemoryHierarchy::new(self.config.hierarchy);
-        self.injector = self.config.fault_plan.clone().map(FaultInjector::new);
-        self.fault = FaultStats::default();
     }
 
     /// Fast-forwards to stream position `skip` (counting instructions
@@ -957,6 +947,15 @@ mod tests {
     fn quick(config: SimConfig, bench: Benchmark) -> SimReport {
         let workload = bench.build_scaled(2);
         Processor::new(config.with_max_insts(60_000)).run(&workload)
+    }
+
+    #[test]
+    #[should_panic(expected = "a Processor runs once")]
+    fn a_second_run_panics() {
+        let workload = Benchmark::Compress.build_scaled(2);
+        let mut processor = Processor::new(SimConfig::baseline().with_max_insts(1_000));
+        let _ = processor.run(&workload);
+        let _ = processor.run(&workload);
     }
 
     #[test]

@@ -78,7 +78,7 @@ fn run_loop_allocations_do_not_scale_with_instruction_count() {
     // Sampled mode adds the fast-forward interpreter, the functional
     // warm-up loop, and inter-window drains; all of them must be
     // equally allocation-free per instruction.
-    let sampled = config.clone().with_sampling(1_000, 1_000, 4_000);
+    let sampled = config.with_sampling(1_000, 1_000, 4_000);
     let short = allocations_for(&sampled, 10_000);
     let long = allocations_for(&sampled, 40_000);
     let growth = long.saturating_sub(short);
@@ -86,20 +86,5 @@ fn run_loop_allocations_do_not_scale_with_instruction_count() {
         growth <= 64,
         "sampled-mode allocations scale with instructions: \
          {short} at 10k insts vs {long} at 40k insts (+{growth})"
-    );
-
-    // Re-running on the same processor must reuse the record queue:
-    // the second run may allocate only a per-run constant (report
-    // strings, RAS mirror, and the predictor, cache and trace-cache
-    // tables of the new machine a re-run starts from).
-    let workload = Benchmark::Compress.build();
-    let mut processor = Processor::new(config.with_max_insts(20_000));
-    let _ = processor.run(&workload);
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    let _ = processor.run(&workload);
-    let rerun = ALLOCATIONS.load(Ordering::SeqCst) - before;
-    assert!(
-        rerun <= 256,
-        "re-running a processor must reuse its buffers ({rerun} allocations)"
     );
 }

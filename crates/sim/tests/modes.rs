@@ -127,46 +127,3 @@ fn parallel_sampled_matrix_is_bit_identical_to_serial() {
         );
     }
 }
-
-/// One processor run in every mode in turn — full timing, then sampled,
-/// then fast-forward — reports exactly what a new processor reports for
-/// each: no record, in-flight instruction or predictor state carries
-/// over from one run into the next, including across the drains between
-/// sampled windows. With and without fault injection, whose injector
-/// restarts with each run.
-#[test]
-fn a_processor_run_in_every_mode_matches_new_ones() {
-    use tc_sim::{ExecutionMode, FaultPlan};
-    let workload = Benchmark::Gcc.build();
-    let base = SimConfig::headline_perf().with_max_insts(60_000);
-    let modes = [
-        ExecutionMode::FullTiming,
-        ExecutionMode::Sample {
-            warmup: 4_000,
-            measure: 1_000,
-            period: 15_000,
-        },
-        ExecutionMode::FastForward { skip: 30_000 },
-        ExecutionMode::FullTiming,
-    ];
-    for config in [
-        base.clone(),
-        base.with_fault_plan(FaultPlan::with_rate(5, 1e-2)),
-    ] {
-        let mut reused = Processor::new(config.clone());
-        for (i, &mode) in modes.iter().enumerate() {
-            reused.set_mode(mode);
-            let again = reused.run(&workload);
-            let mut fresh = config.clone();
-            fresh.mode = mode;
-            let fresh = Processor::new(fresh).run(&workload);
-            assert!(fresh.instructions > 0);
-            assert_eq!(
-                report_to_json(&again).pretty(),
-                report_to_json(&fresh).pretty(),
-                "run {i} ({mode:?}, faults: {}) differs from a new processor's",
-                config.fault_plan.is_some()
-            );
-        }
-    }
-}

@@ -233,10 +233,10 @@ fn every_job_kind_round_trips() {
     assert!(compare.body.contains("promo-pack"), "{}", compare.body);
 
     let faults = post(
-        "/v1/faults",
+        "/v1/sim",
         format!(r#"{{"bench": "compress", "rate": 0.001, "insts": {TEST_INSTS}}}"#),
     );
-    assert!(faults.body.contains("\"report\""), "{}", faults.body);
+    assert!(faults.body.contains("\"injected\""), "{}", faults.body);
 
     let trace = post(
         "/v1/trace",
@@ -250,6 +250,70 @@ fn every_job_kind_round_trips() {
         format!(r#"{{"bench": "compress", "insts": {TEST_INSTS}}}"#),
     );
     assert!(analyze.body.contains("tw-plan/v1"), "{}", analyze.body);
+
+    shutdown(addr);
+    assert_eq!(handle.join().unwrap().job_panics, 0);
+}
+
+/// A fault campaign is a `sim` job: the fault fields on `/v1/sim`
+/// reproduce the fault golden (captured from the former `tw faults`),
+/// the seed defaults to 1 as on the command line, the fields follow the
+/// CLI's rule, and `/v1/faults` is gone.
+#[test]
+fn fault_campaigns_are_sim_jobs() {
+    let (addr, handle) = start(test_config());
+    let post = |body: &str| http_request(addr, "POST", "/v1/sim", body).unwrap();
+    let report = |body: &str| {
+        let resp = post(body);
+        assert_eq!(resp.status, 200, "{body}: {}", resp.body);
+        parse_json(&resp.body)
+            .expect("sim body parses")
+            .get("report")
+            .expect("sim body carries a report")
+            .clone()
+    };
+
+    let spec = r#""bench": "compress", "preset": "headline", "insts": 100000, "rate": 0.01"#;
+    let seeded = report(&format!(r#"{{{spec}, "seed": 1}}"#));
+    let golden = include_str!("golden/compress-headline-faults-100k.json");
+    assert_eq!(
+        seeded,
+        parse_json(golden).unwrap(),
+        "differs from the golden"
+    );
+    assert_eq!(
+        report(&format!("{{{spec}}}")),
+        seeded,
+        "the seed defaults to 1"
+    );
+
+    for (body, reason) in [
+        (r#"{"bench": "compress", "seed": 1}"#, "needs a fault rate"),
+        (r#"{"bench": "compress", "rate": 0}"#, "outside (0, 1]"),
+        (r#"{"bench": "compress", "rate": 1.5}"#, "outside (0, 1]"),
+        (
+            r#"{"bench": "compress", "rate": 0.1, "targets": []}"#,
+            "empty fault target list",
+        ),
+    ] {
+        let resp = post(body);
+        assert_eq!(resp.status, 400, "{body}: {}", resp.body);
+        let error = parse_json(&resp.body)
+            .ok()
+            .and_then(|v| v.get("error").and_then(|e| e.as_str().map(str::to_string)))
+            .unwrap_or_default();
+        assert!(error.contains(reason), "{body}: {}", resp.body);
+        assert_eq!(error.lines().count(), 1, "{body}: {error}");
+    }
+
+    let gone = http_request(
+        addr,
+        "POST",
+        "/v1/faults",
+        r#"{"bench": "compress", "rate": 0.01}"#,
+    )
+    .unwrap();
+    assert_eq!(gone.status, 404, "{}", gone.body);
 
     shutdown(addr);
     assert_eq!(handle.join().unwrap().job_panics, 0);

@@ -69,8 +69,8 @@ echo "==> tw trace (smoke)"
 target/release/tw trace --workload compress --preset headline \
   --insts 20000 --limit 10000 --out "$trace_artifact"
 
-echo "==> tw faults (smoke)"
-target/release/tw faults --workload compress --preset headline \
+echo "==> tw sim with a fault plan (smoke)"
+target/release/tw sim --bench compress --config headline \
   --seed 1 --rate 1e-3 --insts 20000 --json >/dev/null
 
 echo "==> tw sim --fast-forward / --sample (smoke)"
@@ -252,10 +252,12 @@ expect_exit() {
 }
 expect_exit 2 target/release/tw frobnicate
 expect_exit 2 target/release/tw sim --bench gcc --config no-such-preset
-expect_exit 2 target/release/tw faults --workload gcc --rate -1
+expect_exit 2 target/release/tw faults --workload gcc --rate 1e-3
 expect_exit 2 target/release/tw serve --jobs 0
 expect_exit 2 target/release/tw paper fig99
-expect_exit 2 target/release/tw sim --bench gcc --config baseline --rate 1e-3
+expect_exit 2 target/release/tw sim --bench gcc --config baseline --rate 5
+expect_exit 2 target/release/tw sim --bench gcc --config baseline --rate -1
+expect_exit 2 target/release/tw compare --bench gcc --targets ras
 bad_asm="$(mktemp -t tw-bad-asm.XXXXXX.s)"
 printf 'li t0, 0\nfrobnicate t1\n' > "$bad_asm"
 expect_exit 1 target/release/tw lint --asm "$bad_asm"
@@ -269,6 +271,18 @@ expect_exit 2 target/release/tw sim --bench rv/no-such --config headline
 expect_exit 1 target/release/tw rv /nonexistent/missing.rv.bin
 rm -f "$bad_asm" "$bench_artifact.trunc" "$bench_artifact.plan" "$bench_artifact.rvbin"
 
+echo "==> closed stdout"
+# A reader that closes early ends tw quietly (exit 0 or SIGPIPE), never
+# with a panic (code 101).
+set +o pipefail
+target/release/tw list | head -c 1 >/dev/null
+list_status=${PIPESTATUS[0]}
+set -o pipefail
+if [ "$list_status" = 101 ]; then
+  echo "FAIL: 'tw list | head -c 1' panicked (exit 101)" >&2
+  exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
@@ -276,4 +290,4 @@ echo "==> cargo clippy"
 # The workspace lint set in Cargo.toml, every target, warnings as errors.
 cargo clippy --release --offline --all-targets -- -D warnings
 
-echo "OK: build + tests + release harness and functional-core tests + lint + bench smoke + twbench smoke + compare + paper smoke + trace smoke + faults smoke + fast-forward/checkpoint smoke + rv32i smoke + analyze/plan smoke + serve load smoke + chaos/crash-recovery smoke + error layer + formatting + clippy all clean"
+echo "OK: build + tests + release harness and functional-core tests + lint + bench smoke + twbench smoke + compare + paper smoke + trace smoke + fault-plan sim smoke + fast-forward/checkpoint smoke + rv32i smoke + analyze/plan smoke + serve load smoke + chaos/crash-recovery smoke + error layer + closed stdout + formatting + clippy all clean"

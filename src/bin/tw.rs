@@ -14,7 +14,7 @@ use std::env;
 use std::process::ExitCode;
 
 use trace_weave::bench::{compare, paper, suite};
-use trace_weave::fault::{FaultLocus, FaultPlan};
+use trace_weave::fault::FaultPlan;
 use trace_weave::sim::harness::{
     self, presets, report_to_json, reports_to_json, run_matrix, run_matrix_with, run_traced,
     timeline_table, MatrixRunner, TraceOptions, TwError,
@@ -32,7 +32,8 @@ enum Kind {
     Text,
     /// An unsigned integer in `min..=max`.
     Uint(u64, u64),
-    Positive,
+    /// A number; its range is checked where it is used.
+    Real,
     NonNegative,
     /// `MEASURE/PERIOD` with `0 < MEASURE <= PERIOD`.
     Sample,
@@ -77,7 +78,7 @@ const FLAGS: &[Flag] = &[
     flag(&["--warmup"], "W", ANY),
     flag(&["--from"], "FILE", Kind::Text),
     flag(&["--seed", "--fault-seed"], "S", ANY),
-    flag(&["--rate", "--fault-rate"], "R", Kind::Positive),
+    flag(&["--rate", "--fault-rate"], "R", Kind::Real),
     flag(&["--at-cycles"], "C1,C2,...", Kind::Cycles),
     flag(&["--targets"], "LIST", Kind::Text),
     flag(&["--check"], "FILE", Kind::Text),
@@ -124,12 +125,16 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "sim",
         synopsis: "--bench! --config! --insts --perfect-mem --json --timeline --interval \
-                   --plan --fast-forward --sample --warmup",
+                   --plan --fast-forward --sample --warmup --fault-rate --fault-seed \
+                   --at-cycles --targets",
         about: "simulate one benchmark under one configuration; --fast-forward skips N \
                 instructions functionally before timing, or --sample times M of every K \
                 instructions, warming the front end for W before each window; --plan \
                 attaches a tw-plan/v1 promotion plan (auto = build it now); --timeline \
-                prints the interval timeline",
+                prints the interval timeline; --fault-rate R (0 < R <= 1) or --at-cycles \
+                attaches a deterministic fault plan (seed S, default 1) and the report \
+                gains fault counters; LIST is a comma list of loci (tc-segment, tc-evict, \
+                bias, predictor, ras, fill-stall), default all",
         run: cmd_sim,
     },
     Command {
@@ -150,8 +155,8 @@ const COMMANDS: &[Command] = &[
         name: "compare",
         synopsis: "--bench! --insts --jobs --perfect-mem --json --timeline --interval \
                    --plan --fault-rate --fault-seed --at-cycles --targets",
-        about: "compare the five standard configurations on one benchmark; --fault-rate \
-                or --at-cycles attaches a fault plan to every cell",
+        about: "compare the five standard configurations on one benchmark; the fault \
+                flags, as for sim, attach one fault plan to every cell",
         run: cmd_compare,
     },
     Command {
@@ -162,14 +167,6 @@ const COMMANDS: &[Command] = &[
                 data-dependent) and emit a tw-plan/v1 promotion plan; --check \
                 validates a plan file instead",
         run: cmd_analyze,
-    },
-    Command {
-        name: "faults",
-        synopsis: "--workload! --preset --seed --rate --at-cycles --targets --insts --json",
-        about: "simulate one cell (default preset headline) under a deterministic \
-                fault plan and report the fault counters; LIST is a comma list of \
-                loci (tc-segment, tc-evict, bias, predictor, ras, fill-stall)",
-        run: cmd_faults,
     },
     Command {
         name: "trace",
@@ -208,7 +205,7 @@ const COMMANDS: &[Command] = &[
         name: "serve",
         synopsis: "--addr --port --jobs --queue-depth --cache-entries --cache-dir \
                    --max-conns --max-body --max-insts --insts",
-        about: "run the simulation service (POST /v1/{sim,compare,faults,trace,analyze}, \
+        about: "run the simulation service (POST /v1/{sim,compare,trace,analyze}, \
                 GET /healthz /v1/stats /v1/presets /v1/workloads, POST /v1/shutdown) with \
                 a content-addressed result cache; default address 127.0.0.1:0, the \
                 chosen port is printed; --cache-dir persists results across restarts",
@@ -434,24 +431,24 @@ impl Args {
         }
     }
 
-    /// The fault plan requested by `--rate`/`--at-cycles`/`--targets`:
-    /// `None` when neither a rate nor cycles were given.
+    /// The fault plan the fault flags describe, under the rule
+    /// [`harness::fault_plan`] applies to every front door.
     fn fault_plan(&self) -> Result<Option<FaultPlan>, TwError> {
-        let seed = self.uint("--seed").unwrap_or(1);
-        let plan = match (self.get("--rate"), self.get("--at-cycles")) {
-            (Some(Value::Real(rate)), None) => FaultPlan::with_rate(seed, *rate),
-            (None, Some(Value::Cycles(cycles))) => FaultPlan::at_cycles(seed, cycles.clone()),
-            (None, None) => return Ok(None),
-            _ => {
-                return Err(TwError::usage(
-                    "--rate and --at-cycles are mutually exclusive",
-                ))
-            }
+        let rate = match self.get("--rate") {
+            Some(Value::Real(rate)) => Some(*rate),
+            _ => None,
         };
-        Ok(Some(match self.text("--targets") {
-            Some(spec) => plan.targeting(&parse_targets(spec)?),
-            None => plan,
-        }))
+        let cycles = match self.get("--at-cycles") {
+            Some(Value::Cycles(cycles)) => Some(cycles.clone()),
+            _ => None,
+        };
+        let targets: Option<Vec<&str>> = self.text("--targets").map(|list| {
+            list.split(',')
+                .map(str::trim)
+                .filter(|t| !t.is_empty())
+                .collect()
+        });
+        harness::fault_plan(self.uint("--seed"), rate, cycles, targets.as_deref())
     }
 }
 
@@ -479,10 +476,7 @@ fn check(kind: Kind, spelled: &str, args: &[String]) -> Result<Value, TwError> {
             }
             Value::Uint(n)
         }
-        Kind::Positive => match real()? {
-            x if x > 0.0 => Value::Real(x),
-            _ => return Err(usage("must be positive".into())),
-        },
+        Kind::Real => Value::Real(real()?),
         Kind::NonNegative => match real()? {
             x if x >= 0.0 => Value::Real(x),
             _ => return Err(usage("must be non-negative".into())),
@@ -510,9 +504,6 @@ fn check(kind: Kind, spelled: &str, args: &[String]) -> Result<Value, TwError> {
                         .parse()
                         .map_err(|_| usage(format!("bad cycle {token:?}")))?,
                 );
-            }
-            if cycles.is_empty() {
-                return Err(usage("empty cycle list".into()));
             }
             Value::Cycles(cycles)
         }
@@ -606,12 +597,34 @@ and rv/<name> for compiled RV32I programs (rv/qsort, rv/dispatch, ...);
 }
 
 fn main() -> ExitCode {
+    die_on_broken_pipe();
     let args: Vec<String> = env::args().skip(1).collect();
     match run(&args) {
         Ok(code) => code,
         Err(e) => {
             eprintln!("tw: {e}");
             ExitCode::from(e.exit_code())
+        }
+    }
+}
+
+/// Restores the default `SIGPIPE` action, which the Rust runtime sets
+/// to ignore: a closed stdout (`tw list | head -1`) then ends `tw` the
+/// way it ends any Unix filter, instead of a panic in `println!`. The
+/// daemon's socket writes are unaffected (std sends with
+/// `MSG_NOSIGNAL`).
+fn die_on_broken_pipe() {
+    #[cfg(unix)]
+    {
+        extern "C" {
+            fn signal(signum: i32, handler: usize) -> usize;
+        }
+        const SIGPIPE: i32 = 13;
+        const SIG_DFL: usize = 0;
+        // SAFETY: `signal` is the C library's, which std links on every
+        // Unix; installing the default action runs no Rust code.
+        unsafe {
+            signal(SIGPIPE, SIG_DFL);
         }
     }
 }
@@ -752,18 +765,6 @@ fn print_report(r: &SimReport) {
     }
 }
 
-/// Parses a comma-separated `--targets` list into fault loci.
-fn parse_targets(spec: &str) -> Result<Vec<FaultLocus>, TwError> {
-    let mut loci = Vec::new();
-    for token in spec.split(',').map(str::trim).filter(|t| !t.is_empty()) {
-        loci.push(FaultLocus::parse(token).map_err(TwError::usage)?);
-    }
-    if loci.is_empty() {
-        return Err(TwError::usage("--targets: empty locus list"));
-    }
-    Ok(loci)
-}
-
 /// Resolves `--plan FILE|auto` for one benchmark: `auto` builds the
 /// plan by profiling the benchmark now; a path loads and validates a
 /// `tw-plan/v1` file, insisting it was derived for the same workload.
@@ -822,6 +823,9 @@ fn cmd_sim(a: &Args) -> Result<ExitCode, TwError> {
     let mut config = a.config()?;
     if a.switch("--perfect-mem") {
         config = config.with_perfect_disambiguation();
+    }
+    if let Some(plan) = a.fault_plan()? {
+        config = config.with_fault_plan(plan);
     }
     let workload = bench.build();
     let mut config = a.apply_mode(config.with_max_insts(a.insts_or(DEFAULT_MAX_INSTS)))?;
@@ -910,28 +914,6 @@ fn cmd_checkpoint_restore(a: &Args) -> Result<ExitCode, TwError> {
     emit_report(
         a,
         &trace_weave::sim::Processor::new(config).run_from(&workload, machine),
-    );
-    Ok(ExitCode::SUCCESS)
-}
-
-fn cmd_faults(a: &Args) -> Result<ExitCode, TwError> {
-    let bench = a.workload()?;
-    // Fault campaigns default to the paper's headline front end.
-    let config = if a.get("--preset").is_some() {
-        a.config()?
-    } else {
-        harness::lookup("headline")
-            .ok_or_else(|| TwError::runtime("registry is missing `headline`"))?
-    };
-    let plan = a
-        .fault_plan()?
-        .ok_or_else(|| TwError::usage("faults: one of --rate or --at-cycles is required"))?;
-    let config = config
-        .with_max_insts(a.insts_or(DEFAULT_MAX_INSTS))
-        .with_fault_plan(plan);
-    emit_report(
-        a,
-        &trace_weave::sim::Processor::new(config).run(&bench.build()),
     );
     Ok(ExitCode::SUCCESS)
 }

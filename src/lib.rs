@@ -13,7 +13,7 @@
 //! * [`core`] — trace cache, fill unit, branch promotion, trace packing
 //! * [`engine`] — the out-of-order execution engine model
 //! * [`trace`] — the cycle-level event-tracing layer (`tw trace`)
-//! * [`fault`] — deterministic fault plans and the injector (`tw faults`)
+//! * [`fault`] — deterministic fault plans and the injector (`tw sim --fault-rate`)
 //! * [`sim`] — whole-processor simulation driver and reports
 //! * [`bench`] — timing harnesses: the `tw bench` wall-clock suite and
 //!   the microbenchmark runner behind `benches/`

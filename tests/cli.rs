@@ -51,23 +51,17 @@ fn unknown_command_and_flags_are_usage_errors() {
         ]),
         2,
     );
-    assert_diagnostic(&tw(&["faults", "--workload", "gcc"]), 2); // no rate/cycles
-    assert_diagnostic(
-        &tw(&[
-            "faults",
-            "--workload",
-            "gcc",
-            "--rate",
-            "1e-4",
-            "--targets",
-            "bogus",
-        ]),
-        2,
+    let out = tw(&["faults", "--workload", "gcc", "--rate", "1e-3"]);
+    assert_usage_error_only(&out);
+    assert!(
+        stderr_line(&out).contains("unknown command"),
+        "{}",
+        stderr_line(&out)
     );
     // Flags another subcommand declares are not accepted here.
     for args in [
         &[
-            "sim", "--bench", "compress", "--config", "baseline", "--rate", "1e-3",
+            "sim", "--bench", "compress", "--config", "baseline", "--events", "tc",
         ][..],
         &["list", "--jobs", "2"],
         &[
@@ -371,22 +365,111 @@ fn malformed_plans_are_runtime_errors() {
     assert_diagnostic(&tw(&["analyze"]), 2);
 }
 
+/// Every front door checks the fault flags by one rule: a seed or a
+/// target list alone, a rate outside (0, 1], a rate with a cycle list,
+/// and empty or unknown lists are usage errors that run nothing.
 #[test]
-fn faults_subcommand_reports_deterministic_counters() {
+fn fault_flags_follow_one_rule() {
+    let sim = ["sim", "--bench", "gcc", "--config", "headline"];
+    for (extra, reason) in [
+        (&["--rate", "5"][..], "outside (0, 1]"),
+        (&["--rate", "-1"], "outside (0, 1]"),
+        (&["--fault-rate", "0"], "outside (0, 1]"),
+        (&["--seed", "7"], "needs a fault rate"),
+        (&["--rate", "1e-3", "--at-cycles", "5"], "not both"),
+        (&["--at-cycles", ","], "empty fault cycle list"),
+        (
+            &["--rate", "1e-3", "--targets", ","],
+            "empty fault target list",
+        ),
+        (&["--rate", "1e-4", "--targets", "bogus"], "bogus"),
+    ] {
+        let args: Vec<&str> = sim.iter().chain(extra).copied().collect();
+        let out = tw(&args);
+        assert_usage_error_only(&out);
+        assert!(
+            stderr_line(&out).contains(reason),
+            "{args:?}: {}",
+            stderr_line(&out)
+        );
+    }
+    for extra in [&["--targets", "ras"][..], &["--fault-seed", "7"]] {
+        let args: Vec<&str> = ["compare", "--bench", "gcc"]
+            .iter()
+            .chain(extra)
+            .copied()
+            .collect();
+        let out = tw(&args);
+        assert_usage_error_only(&out);
+        assert!(
+            stderr_line(&out).contains("needs a fault rate"),
+            "{args:?}: {}",
+            stderr_line(&out)
+        );
+    }
+}
+
+/// A fault campaign is a `sim` run: the fault golden, captured from the
+/// former `tw faults` subcommand, comes out of `tw sim` byte for byte.
+#[test]
+fn sim_with_a_fault_rate_reproduces_the_faults_golden() {
+    let out = tw(&[
+        "sim", "--bench", "compress", "--config", "headline", "--insts", "100000", "--seed", "1",
+        "--rate", "1e-2", "--json",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_line(&out));
+    let golden = include_str!("../crates/sim/tests/golden/compress-headline-faults-100k.json");
+    assert!(
+        out.stdout == golden.as_bytes(),
+        "tw sim differs from the faults golden:\n{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+}
+
+/// A reader that closes early ends `tw` quietly (exit 0 or SIGPIPE),
+/// never with a panic. The read end closes before the command has
+/// written anything, so its first write meets the closed pipe.
+#[test]
+fn closed_stdout_ends_tw_quietly() {
+    use std::process::Stdio;
+    for args in [
+        &[
+            "sim", "--bench", "gcc", "--config", "headline", "--insts", "20000", "--json",
+        ][..],
+        &["paper", "fig10", "--insts", "20000"],
+        &["list"],
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_tw"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("tw binary runs");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("tw exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_ne!(out.status.code(), Some(101), "{args:?} panicked: {stderr}");
+        #[cfg(unix)]
+        {
+            use std::os::unix::process::ExitStatusExt;
+            let sigpipe = out.status.signal() == Some(13);
+            assert!(
+                out.status.success() || sigpipe,
+                "{args:?}: {:?}",
+                out.status
+            );
+        }
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(stderr.is_empty(), "{args:?} wrote to stderr: {stderr}");
+    }
+}
+
+#[test]
+fn sim_fault_runs_report_deterministic_counters() {
     let run = |seed: &str| {
         let out = tw(&[
-            "faults",
-            "--workload",
-            "compress",
-            "--preset",
-            "headline",
-            "--seed",
-            seed,
-            "--rate",
-            "1e-3",
-            "--insts",
-            "20000",
-            "--json",
+            "sim", "--bench", "compress", "--config", "headline", "--seed", seed, "--rate", "1e-3",
+            "--insts", "20000", "--json",
         ]);
         assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_line(&out));
         let stdout = String::from_utf8_lossy(&out.stdout).to_string();
