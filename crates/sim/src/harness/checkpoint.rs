@@ -1,4 +1,5 @@
-//! Architectural-state checkpoints (`tw checkpoint save` / `restore`).
+//! Architectural-state checkpoints: `tw checkpoint` writes one, and
+//! `tw sim --from` resumes it.
 //!
 //! A checkpoint captures a [`Machine`]'s complete architectural state —
 //! registers, memory, program counter, retired-instruction count, halt

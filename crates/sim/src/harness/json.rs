@@ -341,8 +341,7 @@ pub fn report_to_json(r: &SimReport) -> Json {
 
 /// The structured form of a [`tc_trace::TraceSummary`]: overall ring
 /// accounting plus non-zero per-kind event counts.
-#[must_use]
-pub fn trace_summary_to_json(t: &tc_trace::TraceSummary) -> Json {
+fn trace_summary_to_json(t: &tc_trace::TraceSummary) -> Json {
     let counts = tc_trace::EventKind::ALL
         .iter()
         .filter(|k| t.count(**k) > 0)

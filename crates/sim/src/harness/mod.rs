@@ -9,7 +9,10 @@
 //!   `promo-pack`, `headline`, …). CLI parsing and `list` output are
 //!   generated from it, so a preset added here appears everywhere. It
 //!   also holds [`fault_plan`], the one rule that turns the CLI's fault
-//!   flags or a request's fault fields into a fault plan.
+//!   flags or a request's fault fields into a fault plan, and
+//!   [`sim_config`], the one builder that turns a job's fields (preset,
+//!   budget, perfect disambiguation, fault plan, promotion plan, mode)
+//!   into its configuration at both front doors.
 //! * [`runner`] — the parallel matrix runner: one pool of scoped worker
 //!   threads runs independent `(benchmark, configuration)` cells with
 //!   deterministic, caller-ordered result collection, under
@@ -32,9 +35,10 @@
 //!   branch profiler, the four-class predictability
 //!   classifier, and the `tw-plan/v1` promotion-plan artifact
 //!   (emit + validating parse).
-//! * [`trace`] — the event-trace sink behind `tw trace`: traced runs,
-//!   the Chrome/Perfetto `trace_event` export, and the interval-timeline
-//!   renderers (`--timeline`).
+//! * [`trace`] — the event-trace sink behind `tw sim --out` and a traced
+//!   `/v1/sim`: [`trace_options`], the one rule for the trace fields at
+//!   both front doors, traced runs, the Chrome/Perfetto `trace_event`
+//!   export, and the interval-timeline renderers (`--timeline`).
 //! * [`serve`] — the `tw serve` daemon: a hardened HTTP/JSON service
 //!   over the same job kinds, with a single-flight content-addressed
 //!   result cache and a bounded FIFO job queue.
@@ -44,8 +48,8 @@
 //!   runs `tc-analyze`'s five-pass pipeline over the registered
 //!   benchmarks and renders results through the same table/JSON
 //!   machinery.
-//! * `checkpoint` — the `tw-ckpt/v1` architectural-state file behind
-//!   `tw checkpoint save` / `restore`.
+//! * `checkpoint` — the `tw-ckpt/v1` architectural-state file that
+//!   `tw checkpoint` writes and `tw sim --from` resumes.
 //!
 //! The simulator itself is deterministic, so parallel execution is
 //! required to be *observationally identical* to serial execution —
@@ -72,18 +76,19 @@ pub use analyze::{
 pub use artifact::{read_verified, stamp, write_atomic, Integrity};
 pub use checkpoint::{parse_checkpoint, Checkpoint, CHECKPOINT_FORMAT};
 pub use error::TwError;
-pub use json::{report_to_json, reports_to_json, trace_summary_to_json, Json};
+pub use json::{report_to_json, reports_to_json, Json};
 pub use lint::{
     lint_all, lint_benchmark, lint_entry_to_json, lint_errors, lint_table, lint_to_json, LintEntry,
 };
 pub use parse::{parse_json, Value};
 pub use registry::{
-    fault_plan, find_bench, lookup, preset, presets, standard_five, ConfigPreset, STANDARD_FIVE,
+    fault_plan, find_bench, lookup, preset, presets, sim_config, standard_five, ConfigPreset,
+    STANDARD_FIVE,
 };
 pub use runner::{default_jobs, run_matrix, run_matrix_with, MatrixRunner, MAX_JOBS};
 pub use serve::{ServeConfig, ServeSummary, Server};
 pub use table::{f2, mean, pct, percent_change, Table};
 pub use trace::{
-    chrome_trace_json, run_traced, timeline_table, timeline_to_json, TraceOptions, TracedRun,
-    DEFAULT_TRACE_INTERVAL, DEFAULT_TRACE_LIMIT,
+    chrome_trace_json, run_traced, timeline_table, timeline_to_json, trace_options, TraceOptions,
+    TracedRun, MAX_TRACE_LIMIT,
 };

@@ -3,15 +3,17 @@
 //! Every driver — `tw`, `paper`, the examples — resolves configuration
 //! names through this table, and `tw list` prints it. Adding a preset
 //! here is the whole job: parsing, listing, and the standard comparison
-//! set all follow. Workload names resolve through [`find_bench`], and
-//! fault specifications through [`fault_plan`].
+//! set all follow. Workload names resolve through [`find_bench`], fault
+//! specifications through [`fault_plan`], and a job's fields into its
+//! configuration through [`sim_config`].
 
 use tc_core::PackingPolicy;
 use tc_fault::{FaultLocus, FaultPlan};
 use tc_workloads::WorkloadId;
 
-use crate::config::SimConfig;
+use crate::config::{ExecutionMode, SimConfig};
 use crate::harness::error::TwError;
+use crate::plan::PromotionPlan;
 
 /// A named, buildable configuration preset.
 pub struct ConfigPreset {
@@ -168,6 +170,32 @@ pub fn fault_plan(
         .collect::<Result<Vec<_>, _>>()
         .map_err(TwError::usage)?;
     Ok(Some(plan.targeting(&loci)))
+}
+
+/// Builds one run's configuration from a preset's and a job's fields:
+/// the one assembly both front doors share (`tw sim` and `tw compare`
+/// flags, `/v1/sim` and `/v1/compare` fields).
+#[must_use]
+pub fn sim_config(
+    preset: SimConfig,
+    insts: u64,
+    perfect: bool,
+    fault: Option<&FaultPlan>,
+    plan: Option<&PromotionPlan>,
+    mode: ExecutionMode,
+) -> SimConfig {
+    let mut config = preset.with_max_insts(insts);
+    if perfect {
+        config = config.with_perfect_disambiguation();
+    }
+    if let Some(fault) = fault {
+        config = config.with_fault_plan(fault.clone());
+    }
+    if let Some(plan) = plan {
+        config = config.with_promotion_plan(plan.clone());
+    }
+    config.mode = mode;
+    config
 }
 
 /// The five standard front ends of Figure 10, in column order: the

@@ -1,10 +1,10 @@
 //! `tw serve`: a long-running simulation service over HTTP/JSON.
 //!
 //! The daemon accepts the harness's job kinds — `sim` (with or without
-//! a fault plan), `compare`, `trace`, `analyze` — as `POST /v1/<kind>`
-//! requests with JSON bodies, runs them on a bounded worker pool, and
-//! memoizes results in a content-addressed cache so a repeated query is
-//! answered without re-simulating. The stack is hand-rolled over
+//! a fault plan, a timeline or a Chrome trace), `compare`, `analyze` —
+//! as `POST /v1/<kind>` requests with JSON bodies, runs them on a
+//! bounded worker pool, and memoizes results in a content-addressed
+//! cache so a repeated query is answered without re-simulating. The stack is hand-rolled over
 //! `std::net` (the workspace builds offline with no external crates)
 //! and hardened end to end: every inbound byte is untrusted, every limit is
 //! enforced, and no request — however malformed, oversized, or

@@ -21,15 +21,15 @@ use std::time::{Duration, Instant};
 use tc_fault::chaos::IoFaultPlan;
 use tc_workloads::{Workload, WorkloadId};
 
-use crate::config::SimConfig;
+use crate::config::{ExecutionMode, SimConfig};
 use crate::processor::Processor;
 
 use crate::harness::analyze::{build_plan, plan_to_json};
 use crate::harness::error::TwError;
-use crate::harness::json::{report_to_json, reports_to_json, trace_summary_to_json, Json};
-use crate::harness::registry;
+use crate::harness::json::{report_to_json, reports_to_json, Json};
+use crate::harness::registry::{self, sim_config};
 use crate::harness::runner::run_matrix;
-use crate::harness::trace::{chrome_trace_json, run_traced, timeline_to_json, TraceOptions};
+use crate::harness::trace::{chrome_trace_json, run_traced, timeline_to_json};
 
 use super::cache::{Lookup, ResultCache};
 use super::disk::DiskTier;
@@ -409,12 +409,11 @@ fn route(request: &Request, state: &ServeState) -> Response {
         }
         ("POST", "/v1/sim") => job_response(JobKind::Sim, request, state),
         ("POST", "/v1/compare") => job_response(JobKind::Compare, request, state),
-        ("POST", "/v1/trace") => job_response(JobKind::Trace, request, state),
         ("POST", "/v1/analyze") => job_response(JobKind::Analyze, request, state),
         (
             _,
             "/healthz" | "/v1/stats" | "/v1/presets" | "/v1/workloads" | "/v1/shutdown" | "/v1/sim"
-            | "/v1/compare" | "/v1/trace" | "/v1/analyze",
+            | "/v1/compare" | "/v1/analyze",
         ) => Response::json(
             405,
             error_body(405, &format!("{} does not accept {}", path, request.method)),
@@ -529,10 +528,10 @@ fn preset_config(spec: &JobSpec) -> Result<SimConfig, TwError> {
         .ok_or_else(|| TwError::runtime(format!("registry is missing {:?}", spec.preset)))
 }
 
-fn envelope(kind: JobKind, spec: &JobSpec, fields: Vec<(&'static str, Json)>) -> String {
+fn envelope(spec: &JobSpec, fields: Vec<(&'static str, Json)>) -> String {
     let mut members = vec![
         ("schema", Json::Str(WIRE_SCHEMA.to_string())),
-        ("kind", Json::Str(kind.name().to_string())),
+        ("kind", Json::Str(spec.kind.name().to_string())),
         ("key", Json::Str(spec.key_hash())),
     ];
     members.extend(fields);
@@ -545,50 +544,45 @@ fn run_job(state: &ServeState, spec: &JobSpec) -> Result<String, TwError> {
     let workload = state.workload(spec.bench);
     match spec.kind {
         JobKind::Sim => {
-            let mut config = preset_config(spec)?.with_max_insts(spec.insts);
-            if let Some(plan) = &spec.fault {
-                config = config.with_fault_plan(plan.clone());
-            }
-            if spec.perfect {
-                config = config.with_perfect_disambiguation();
-            }
-            if spec.auto_plan {
-                config = config.with_promotion_plan(build_plan(&workload, spec.insts)?);
-            }
+            let plan = spec
+                .auto_plan
+                .then(|| build_plan(&workload, spec.insts))
+                .transpose()?;
+            let config = sim_config(
+                preset_config(spec)?,
+                spec.insts,
+                spec.perfect,
+                spec.fault.as_ref(),
+                plan.as_ref(),
+                ExecutionMode::FullTiming,
+            );
+            let Some(options) = &spec.trace else {
+                let report = Processor::new(config).run(&workload);
+                return Ok(envelope(spec, vec![("report", report_to_json(&report))]));
+            };
+            let run = run_traced(config, &workload, workload.machine(), options);
+            let mut fields = vec![("report", report_to_json(&run.report))];
             if spec.timeline {
-                let options = TraceOptions {
-                    filter: tc_trace::EventFilter::none(),
-                    interval: Some(crate::harness::trace::DEFAULT_TRACE_INTERVAL),
-                    limit: 0,
-                };
-                let run = run_traced(config, &workload, &options);
-                let timeline = run.timeline.as_ref().map_or(Json::Null, timeline_to_json);
-                return Ok(envelope(
-                    spec.kind,
-                    spec,
-                    vec![
-                        ("report", report_to_json(&run.report)),
-                        ("timeline", timeline),
-                    ],
-                ));
+                fields.push(("timeline", timeline_to_json(&run.timeline)));
             }
-            let report = Processor::new(config).run(&workload);
-            Ok(envelope(
-                spec.kind,
-                spec,
-                vec![("report", report_to_json(&report))],
-            ))
+            if spec.chrome_trace {
+                fields.push(("chrome_trace", chrome_trace_json(&run)));
+            }
+            Ok(envelope(spec, fields))
         }
         JobKind::Compare => {
             let cells: Vec<(WorkloadId, SimConfig)> = registry::standard_five()
                 .into_iter()
-                .map(|(_, config)| {
-                    let config = if spec.perfect {
-                        config.with_perfect_disambiguation()
-                    } else {
-                        config
-                    };
-                    (spec.bench, config.with_max_insts(spec.insts))
+                .map(|(_, preset)| {
+                    let config = sim_config(
+                        preset,
+                        spec.insts,
+                        spec.perfect,
+                        None,
+                        None,
+                        ExecutionMode::FullTiming,
+                    );
+                    (spec.bench, config)
                 })
                 .collect();
             // Serial within the job: the worker pool is the fan-out.
@@ -600,39 +594,13 @@ fn run_job(state: &ServeState, spec: &JobSpec) -> Result<String, TwError> {
                     .collect(),
             );
             Ok(envelope(
-                spec.kind,
                 spec,
                 vec![("configs", configs), ("reports", reports_to_json(&reports))],
             ))
         }
-        JobKind::Trace => {
-            let trace = spec
-                .trace
-                .as_ref()
-                .ok_or_else(|| TwError::runtime("internal error: trace job without options"))?;
-            let options = TraceOptions {
-                filter: trace.filter(),
-                interval: Some(trace.interval),
-                limit: trace.limit,
-            };
-            let config = preset_config(spec)?.with_max_insts(spec.insts);
-            let run = run_traced(config, &workload, &options);
-            Ok(envelope(
-                spec.kind,
-                spec,
-                vec![
-                    ("summary", trace_summary_to_json(&run.summary)),
-                    ("chrome_trace", chrome_trace_json(&run)),
-                ],
-            ))
-        }
         JobKind::Analyze => {
             let plan = build_plan(&workload, spec.insts)?;
-            Ok(envelope(
-                spec.kind,
-                spec,
-                vec![("plan", plan_to_json(&plan))],
-            ))
+            Ok(envelope(spec, vec![("plan", plan_to_json(&plan))]))
         }
     }
 }

@@ -10,29 +10,26 @@
 //! and `"preset": "baseline"` share one cache entry.
 
 use tc_fault::FaultPlan;
-use tc_trace::EventFilter;
+use tc_trace::{EventFilter, EventKind};
 use tc_workloads::WorkloadId;
 
 use crate::harness::error::TwError;
 use crate::harness::parse::{parse_json, Value};
 use crate::harness::registry;
-use crate::harness::trace::{DEFAULT_TRACE_INTERVAL, DEFAULT_TRACE_LIMIT};
+use crate::harness::trace::{trace_options, TraceOptions, DEFAULT_TRACE_INTERVAL};
 
 /// Schema tag carried by every response body.
 pub const WIRE_SCHEMA: &str = "tw-serve/v1";
 
-/// The four job endpoints.
+/// The three job endpoints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobKind {
-    /// One benchmark under one preset, with or without a fault plan
-    /// (`POST /v1/sim`).
+    /// One benchmark under one preset, with or without a fault plan, a
+    /// timeline or a Chrome trace (`POST /v1/sim`).
     Sim,
     /// One benchmark across the standard five presets
     /// (`POST /v1/compare`).
     Compare,
-    /// One traced run, exported as Chrome `trace_event` JSON
-    /// (`POST /v1/trace`).
-    Trace,
     /// Branch-predictability profile → `tw-plan/v1` promotion plan
     /// (`POST /v1/analyze`).
     Analyze,
@@ -45,29 +42,8 @@ impl JobKind {
         match self {
             JobKind::Sim => "sim",
             JobKind::Compare => "compare",
-            JobKind::Trace => "trace",
             JobKind::Analyze => "analyze",
         }
-    }
-}
-
-/// Trace-instrumentation parameters (the `trace` job).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceSpec {
-    /// Canonicalized event-filter spec (`all` when unset).
-    pub events: String,
-    /// Timeline window width in cycles.
-    pub interval: u64,
-    /// Ring-buffer capacity in events.
-    pub limit: usize,
-}
-
-impl TraceSpec {
-    /// Parses the stored filter spec (validated at request-parse time,
-    /// so this cannot fail afterwards).
-    #[must_use]
-    pub fn filter(&self) -> EventFilter {
-        EventFilter::parse(&self.events).unwrap_or_default()
     }
 }
 
@@ -87,13 +63,17 @@ pub struct JobSpec {
     pub perfect: bool,
     /// Fold an interval timeline into the response (`sim` only).
     pub timeline: bool,
+    /// Export the recorded events as `chrome_trace` (`sim` only; a
+    /// request with `events` or `limit`).
+    pub chrome_trace: bool,
+    /// How the run is traced when it has a timeline or a Chrome trace,
+    /// built by [`crate::harness::trace_options`].
+    pub trace: Option<TraceOptions>,
     /// Auto-build and apply a promotion plan (`sim` only).
     pub auto_plan: bool,
     /// The fault plan (`sim` only), built by
     /// [`crate::harness::fault_plan`].
     pub fault: Option<FaultPlan>,
-    /// Trace parameters (`trace` only).
-    pub trace: Option<TraceSpec>,
 }
 
 /// Server-imposed bounds a parsed job must respect.
@@ -119,9 +99,11 @@ fn allowed_fields(kind: JobKind) -> &'static [&'static str] {
             "rate",
             "at_cycles",
             "targets",
+            "events",
+            "interval",
+            "limit",
         ],
         JobKind::Compare => &["perfect"],
-        JobKind::Trace => &["preset", "events", "interval", "limit"],
         JobKind::Analyze => &[],
     }
 }
@@ -223,7 +205,6 @@ pub fn parse_job(kind: JobKind, body: &[u8], limits: &JobLimits) -> Result<JobSp
                 .name
         }
     };
-    let preset = registry::preset(preset).map_or(preset, |p| p.name);
 
     let perfect = match doc.get("perfect") {
         None => false,
@@ -245,7 +226,8 @@ pub fn parse_job(kind: JobKind, body: &[u8], limits: &JobLimits) -> Result<JobSp
         },
     };
 
-    // Only `sim` accepts the fault fields, so other kinds get `None`.
+    // Only `sim` accepts the fault and trace fields, so other kinds get
+    // `None`.
     let list = |field: &str, items: &str| {
         doc.get(field)
             .map(|v| {
@@ -270,41 +252,20 @@ pub fn parse_job(kind: JobKind, body: &[u8], limits: &JobLimits) -> Result<JobSp
         .transpose()?;
     let fault = registry::fault_plan(seed, rate, at_cycles, targets.as_deref())?;
 
-    let trace = if kind == JobKind::Trace {
-        let events = match doc.get("events") {
-            None => "all".to_string(),
-            Some(v) => {
-                let spec = want_str("events", v)?;
-                EventFilter::parse(spec).map_err(|e| bad(format!("field \"events\": {e}")))?;
-                spec.to_string()
-            }
-        };
-        let interval = match doc.get("interval") {
-            None => DEFAULT_TRACE_INTERVAL,
-            Some(v) => {
-                let n = want_u64("interval", v)?;
-                if n == 0 {
-                    return Err(bad("field \"interval\": must be at least 1 cycle"));
-                }
-                n
-            }
-        };
-        let limit = match doc.get("limit") {
-            None => DEFAULT_TRACE_LIMIT,
-            Some(v) => {
-                let n = want_u64("limit", v)?;
-                usize::try_from(n.min(1_000_000))
-                    .map_err(|_| bad("field \"limit\": does not fit this platform"))?
-            }
-        };
-        Some(TraceSpec {
-            events,
-            interval,
-            limit,
+    let events = doc
+        .get("events")
+        .map(|v| {
+            EventFilter::parse(want_str("events", v)?)
+                .map_err(|e| bad(format!("field \"events\": {e}")))
         })
-    } else {
-        None
-    };
+        .transpose()?;
+    let interval = doc
+        .get("interval")
+        .map(|v| want_u64("interval", v))
+        .transpose()?;
+    let limit = doc.get("limit").map(|v| want_u64("limit", v)).transpose()?;
+    let chrome_trace = events.is_some() || limit.is_some();
+    let trace = trace_options(timeline, chrome_trace, events, interval, limit)?;
 
     Ok(JobSpec {
         kind,
@@ -313,9 +274,10 @@ pub fn parse_job(kind: JobKind, body: &[u8], limits: &JobLimits) -> Result<JobSp
         insts,
         perfect,
         timeline,
+        chrome_trace,
+        trace,
         auto_plan,
         fault,
-        trace,
     })
 }
 
@@ -355,11 +317,25 @@ impl JobSpec {
                 targets.join(",")
             );
         }
-        if let Some(trace) = &self.trace {
+        // A timeline at the default interval keeps the key it had
+        // before requests could set the interval or ask for a trace.
+        if let Some(trace) = self
+            .trace
+            .as_ref()
+            .filter(|t| self.chrome_trace || t.interval != DEFAULT_TRACE_INTERVAL)
+        {
+            let events: Vec<&str> = EventKind::ALL
+                .iter()
+                .filter(|&&kind| trace.filter.allows(kind))
+                .map(|kind| kind.name())
+                .collect();
             let _ = write!(
                 key,
-                "|events={}|interval={}|limit={}",
-                trace.events, trace.interval, trace.limit
+                "|chrome={}|events={}|interval={}|limit={}",
+                u8::from(self.chrome_trace),
+                events.join(","),
+                trace.interval,
+                trace.limit
             );
         }
         key
@@ -516,11 +492,25 @@ mod tests {
             let msg = usage(JobKind::Sim, body);
             assert_eq!(msg.lines().count(), 1, "{body}: {msg}");
         }
+        // The trace fields belong to sim and follow the one rule in
+        // `trace::trace_options`.
+        for (body, reason) in [
+            (r#"{"bench": "compress", "events": "zap"}"#, "events"),
+            (
+                r#"{"bench": "compress", "timeline": true, "interval": 0}"#,
+                "interval",
+            ),
+            (r#"{"bench": "compress", "interval": 500}"#, "interval"),
+            (r#"{"bench": "compress", "limit": 1000001}"#, "cap"),
+            (r#"{"bench": "compress", "limit": -1}"#, "limit"),
+        ] {
+            let msg = usage(JobKind::Sim, body);
+            assert!(msg.contains(reason), "{body}: {msg}");
+            assert_eq!(msg.lines().count(), 1, "{body}: {msg}");
+        }
         assert!(
-            usage(JobKind::Trace, r#"{"bench": "compress", "events": "zap"}"#).contains("events")
-        );
-        assert!(
-            usage(JobKind::Trace, r#"{"bench": "compress", "interval": 0}"#).contains("interval")
+            usage(JobKind::Compare, r#"{"bench": "compress", "limit": 5}"#)
+                .contains("unknown field")
         );
     }
 
@@ -554,14 +544,44 @@ mod tests {
         let sim = parse(JobKind::Sim, r#"{"bench": "compress"}"#).unwrap();
         let cmp = parse(JobKind::Compare, r#"{"bench": "compress"}"#).unwrap();
         assert_ne!(sim.cache_key(), cmp.cache_key());
-        let t1 = parse(JobKind::Trace, r#"{"bench": "compress", "events": "tc"}"#).unwrap();
+        let t1 = parse(JobKind::Sim, r#"{"bench": "compress", "events": "tc"}"#).unwrap();
         let t2 = parse(
-            JobKind::Trace,
+            JobKind::Sim,
             r#"{"bench": "compress", "events": "promote"}"#,
         )
         .unwrap();
+        assert!(t1.chrome_trace && t1.trace.is_some());
         assert_ne!(t1.cache_key(), t2.cache_key());
+        assert_ne!(t1.cache_key(), sim.cache_key());
         assert_eq!(t1.key_hash().len(), 16);
+        // A filter is keyed by the kinds it passes, however it is spelled.
+        let t3 = parse(
+            JobKind::Sim,
+            r#"{"bench": "compress", "events": "tc_hit,tc_miss,tc_fill"}"#,
+        )
+        .unwrap();
+        assert_eq!(t1.cache_key(), t3.cache_key());
+
+        // A timeline at the default interval keeps its key; another
+        // interval, or a trace, gets its own.
+        let timeline = parse(JobKind::Sim, r#"{"bench": "compress", "timeline": true}"#).unwrap();
+        assert_eq!(
+            timeline.cache_key(),
+            "sim|bench=compress|preset=baseline|insts=200000|perfect=0|timeline=1|plan=0"
+        );
+        assert!(!timeline.chrome_trace);
+        let narrow = parse(
+            JobKind::Sim,
+            r#"{"bench": "compress", "timeline": true, "interval": 500}"#,
+        )
+        .unwrap();
+        assert_ne!(timeline.cache_key(), narrow.cache_key());
+        let traced = parse(
+            JobKind::Sim,
+            r#"{"bench": "compress", "timeline": true, "limit": 0, "events": ""}"#,
+        )
+        .unwrap();
+        assert_ne!(timeline.cache_key(), traced.cache_key());
     }
 
     #[test]

@@ -1,5 +1,9 @@
 //! The event-trace sink: traced runs, the Chrome/Perfetto export, and
-//! the interval-timeline renderers behind `tw trace` / `--timeline`.
+//! the interval-timeline renderers behind `tw sim --out` / `--timeline`
+//! and a traced `/v1/sim` request.
+//!
+//! [`trace_options`] is the one rule both front doors apply to the
+//! trace fields, and [`run_traced`] runs the cell.
 //!
 //! A traced run attaches a [`RingTracer`] to the processor and, after
 //! the simulation, carries away three things: the bounded event stream
@@ -13,42 +17,38 @@
 
 use std::fmt::Write as _;
 
+use tc_isa::Machine;
 use tc_trace::{
     EventFilter, IntervalStats, RingTracer, Timeline, TraceEvent, TraceRecord, TraceSummary, Tracer,
 };
 use tc_workloads::Workload;
 
 use crate::config::SimConfig;
+use crate::harness::error::TwError;
 use crate::harness::json::Json;
 use crate::processor::Processor;
 use crate::report::SimReport;
 
-/// Default ring-buffer capacity for `tw trace` (`--limit` overrides).
+/// Default ring-buffer capacity of a trace.
 pub const DEFAULT_TRACE_LIMIT: usize = 100_000;
 
-/// Default timeline window width in cycles (`--interval` overrides).
+/// Largest ring-buffer capacity either front door accepts. The ring is
+/// allocated up front, so the cap bounds a trace's memory.
+pub const MAX_TRACE_LIMIT: usize = 1_000_000;
+
+/// Default timeline window width in cycles.
 pub const DEFAULT_TRACE_INTERVAL: u64 = 10_000;
 
 /// How a traced run is instrumented.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceOptions {
     /// Which event kinds the ring buffer stores (aggregates always see
     /// everything).
     pub filter: EventFilter,
-    /// Timeline window width in cycles; `None` folds no timeline.
-    pub interval: Option<u64>,
+    /// Timeline window width in cycles.
+    pub interval: u64,
     /// Ring-buffer capacity in events.
     pub limit: usize,
-}
-
-impl Default for TraceOptions {
-    fn default() -> TraceOptions {
-        TraceOptions {
-            filter: EventFilter::all(),
-            interval: Some(DEFAULT_TRACE_INTERVAL),
-            limit: DEFAULT_TRACE_LIMIT,
-        }
-    }
 }
 
 /// Everything a traced simulation produced.
@@ -60,26 +60,86 @@ pub struct TracedRun {
     pub records: Vec<TraceRecord>,
     /// Exact aggregate accounting (drop-immune).
     pub summary: TraceSummary,
-    /// The interval timeline, when one was requested.
-    pub timeline: Option<Timeline>,
+    /// The interval timeline.
+    pub timeline: Timeline,
 }
 
-/// Runs `workload` under `config` with a recording tracer attached.
-#[must_use]
-pub fn run_traced(config: SimConfig, workload: &Workload, options: &TraceOptions) -> TracedRun {
-    let mut tracer = RingTracer::new(options.limit).with_filter(options.filter);
-    if let Some(interval) = options.interval {
-        tracer = tracer.with_interval(interval);
+/// Builds the trace options that `tw sim`'s trace flags or a `/v1/sim`
+/// request's trace fields describe: the one rule both front doors share.
+/// `traced` says whether the events are exported (`--out`, or a request
+/// with `events` or `limit`). With neither a timeline nor a trace there
+/// is nothing to record, and an interval is an error. The interval is at
+/// least 1 cycle. A trace keeps the first `limit` events `filter` passes
+/// (default all), at most [`MAX_TRACE_LIMIT`]; a timeline alone keeps
+/// none.
+///
+/// # Errors
+///
+/// A usage error naming the first rule the fields break.
+pub fn trace_options(
+    timeline: bool,
+    traced: bool,
+    filter: Option<EventFilter>,
+    interval: Option<u64>,
+    limit: Option<u64>,
+) -> Result<Option<TraceOptions>, TwError> {
+    if !timeline && !traced {
+        return match interval {
+            Some(_) => Err(TwError::usage(
+                "a timeline interval needs a timeline or a trace",
+            )),
+            None => Ok(None),
+        };
     }
+    let interval = interval.unwrap_or(DEFAULT_TRACE_INTERVAL);
+    let (filter, limit) = if traced {
+        let limit = limit.unwrap_or(DEFAULT_TRACE_LIMIT as u64);
+        (filter.unwrap_or_else(EventFilter::all), limit)
+    } else {
+        (EventFilter::none(), 0)
+    };
+    if interval == 0 {
+        return Err(TwError::usage(
+            "the timeline interval must be at least 1 cycle",
+        ));
+    }
+    if limit > MAX_TRACE_LIMIT as u64 {
+        return Err(TwError::usage(format!(
+            "trace limit {limit} exceeds the cap of {MAX_TRACE_LIMIT}"
+        )));
+    }
+    Ok(Some(TraceOptions {
+        filter,
+        interval,
+        limit: limit as usize,
+    }))
+}
+
+/// Runs `workload` under `config` from `machine` (`workload.machine()`,
+/// or a restored checkpoint, as [`Processor::run_from`] runs) with a
+/// recording tracer attached.
+#[must_use]
+pub fn run_traced(
+    config: SimConfig,
+    workload: &Workload,
+    machine: Machine,
+    options: &TraceOptions,
+) -> TracedRun {
+    let tracer = RingTracer::new(options.limit)
+        .with_filter(options.filter)
+        .with_interval(options.interval);
     let mut processor = Processor::with_tracer(config, tracer);
-    let report = processor.run(workload);
+    let report = processor.run_from(workload, machine);
     let tracer = processor.tracer();
     TracedRun {
-        // `RingTracer::summary` always returns `Some`; an all-zero
-        // summary beats a panic if that invariant ever slips.
+        // `RingTracer::summary` and, with an interval, `timeline` always
+        // return `Some`; empty ones beat a panic if that ever slips.
         summary: tracer.summary().unwrap_or_default(),
         records: tracer.records().to_vec(),
-        timeline: tracer.timeline().cloned(),
+        timeline: tracer
+            .timeline()
+            .cloned()
+            .unwrap_or_else(|| Timeline::new(options.interval)),
         report,
     }
 }
@@ -104,9 +164,7 @@ pub fn chrome_trace_json(run: &TracedRun) -> Json {
     for record in &run.records {
         events.push(instant_event(record));
     }
-    if let Some(timeline) = &run.timeline {
-        push_counter_tracks(&mut events, timeline);
-    }
+    push_counter_tracks(&mut events, &run.timeline);
     Json::Object(vec![
         ("traceEvents", Json::Array(events)),
         (
@@ -377,9 +435,10 @@ mod tests {
         run_traced(
             config,
             &workload,
+            workload.machine(),
             &TraceOptions {
                 filter: EventFilter::all(),
-                interval: Some(1_000),
+                interval: 1_000,
                 limit: 2_000,
             },
         )
@@ -395,8 +454,7 @@ mod tests {
             run.report.trace.as_ref().map(|t| t.emitted),
             Some(run.summary.emitted)
         );
-        let timeline = run.timeline.as_ref().expect("interval requested");
-        assert!(!timeline.windows().is_empty());
+        assert!(!run.timeline.windows().is_empty());
         // Records arrive in emit order with strictly increasing seq.
         for pair in run.records.windows(2) {
             assert!(pair[0].seq < pair[1].seq);
@@ -419,7 +477,7 @@ mod tests {
     #[test]
     fn timeline_renderers_cover_every_window() {
         let run = small_traced();
-        let timeline = run.timeline.as_ref().unwrap();
+        let timeline = &run.timeline;
         let table = timeline_table(timeline);
         assert_eq!(table.lines().count(), timeline.windows().len() + 1);
         let json = timeline_to_json(timeline).pretty();

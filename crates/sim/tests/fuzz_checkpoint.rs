@@ -1,6 +1,6 @@
 //! Seeded never-panic fuzzing of the checkpoint reader.
 //!
-//! `tw checkpoint restore` consumes checkpoint documents from disk, so
+//! `tw sim --from` consumes checkpoint documents from disk, so
 //! `parse_checkpoint` must return `Err` (never panic) on arbitrary
 //! bytes, and a document that happens to parse must restore through
 //! `Checkpoint::restore` without panicking either. This feeds 1 000

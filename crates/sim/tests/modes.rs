@@ -32,7 +32,7 @@ fn checkpoint_resume_is_bit_identical_to_direct_fast_forward() {
     let direct = Processor::new(config.clone()).run(&workload);
 
     // Resumed: fast-forward functionally, checkpoint through the full
-    // JSON round trip (exactly what `tw checkpoint save`/`restore` do),
+    // JSON round trip (exactly what `tw checkpoint` and `tw sim --from` do),
     // then attach timing to the restored machine.
     let program = workload.program();
     let blocks = BlockCache::new(program);

@@ -10,8 +10,8 @@
 use std::net::SocketAddr;
 use std::sync::Arc;
 
-use tc_sim::harness::parse_json;
 use tc_sim::harness::serve::{http_request, raw_request, ServeConfig, Server};
+use tc_sim::harness::{chrome_trace_json, lookup, parse_json, run_traced, TraceOptions};
 
 /// Reads `cache.computed` out of a `/v1/stats` body.
 fn computed_count(stats_body: &str) -> u64 {
@@ -239,8 +239,8 @@ fn every_job_kind_round_trips() {
     assert!(faults.body.contains("\"injected\""), "{}", faults.body);
 
     let trace = post(
-        "/v1/trace",
-        format!(r#"{{"bench": "compress", "preset": "baseline", "insts": {TEST_INSTS}}}"#),
+        "/v1/sim",
+        format!(r#"{{"bench": "compress", "insts": {TEST_INSTS}, "events": "all"}}"#),
     );
     assert!(trace.body.contains("\"chrome_trace\""), "{}", trace.body);
     assert!(trace.body.contains("traceEvents"), "{}", trace.body);
@@ -313,6 +313,69 @@ fn fault_campaigns_are_sim_jobs() {
         r#"{"bench": "compress", "rate": 0.01}"#,
     )
     .unwrap();
+    assert_eq!(gone.status, 404, "{}", gone.body);
+
+    shutdown(addr);
+    assert_eq!(handle.join().unwrap().job_panics, 0);
+}
+
+/// A trace is a `sim` job: a request with `events` or `limit` carries
+/// the `chrome_trace` that `run_traced` renders for the same fields, the
+/// trace fields follow the CLI's rule, and `/v1/trace` is gone.
+#[test]
+fn traces_are_sim_jobs() {
+    let (addr, handle) = start(test_config());
+    let post = |body: &str| http_request(addr, "POST", "/v1/sim", body).unwrap();
+
+    let body = r#"{"bench": "compress", "preset": "headline", "insts": 2000, "events": "tc,promote", "interval": 500, "limit": 64}"#;
+    let resp = post(body);
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let doc = parse_json(&resp.body).expect("sim body parses");
+    assert!(doc.get("timeline").is_none(), "no timeline was asked for");
+    let workload = tc_workloads::Benchmark::Compress.build();
+    let run = run_traced(
+        lookup("headline").unwrap().with_max_insts(2000),
+        &workload,
+        workload.machine(),
+        &TraceOptions {
+            filter: tc_trace::EventFilter::parse("tc,promote").unwrap(),
+            interval: 500,
+            limit: 64,
+        },
+    );
+    assert_eq!(
+        doc.get("chrome_trace"),
+        Some(&parse_json(&chrome_trace_json(&run).render()).unwrap()),
+        "the wire's trace differs from run_traced's"
+    );
+
+    // A timeline and a trace ride on one run.
+    let both = post(
+        r#"{"bench": "compress", "insts": 2000, "timeline": true, "interval": 500, "limit": 10}"#,
+    );
+    assert_eq!(both.status, 200, "{}", both.body);
+    let doc = parse_json(&both.body).unwrap();
+    assert!(doc.get("timeline").is_some() && doc.get("chrome_trace").is_some());
+
+    for (body, reason) in [
+        (r#"{"bench": "compress", "limit": 1000001}"#, "cap"),
+        (
+            r#"{"bench": "compress", "interval": 500}"#,
+            "needs a timeline",
+        ),
+        (r#"{"bench": "compress", "events": "zap"}"#, "events"),
+    ] {
+        let resp = post(body);
+        assert_eq!(resp.status, 400, "{body}: {}", resp.body);
+        let error = parse_json(&resp.body)
+            .ok()
+            .and_then(|v| v.get("error").and_then(|e| e.as_str().map(str::to_string)))
+            .unwrap_or_default();
+        assert!(error.contains(reason), "{body}: {}", resp.body);
+        assert_eq!(error.lines().count(), 1, "{body}: {error}");
+    }
+
+    let gone = http_request(addr, "POST", "/v1/trace", r#"{"bench": "compress"}"#).unwrap();
     assert_eq!(gone.status, 404, "{}", gone.body);
 
     shutdown(addr);

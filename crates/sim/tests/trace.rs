@@ -12,7 +12,7 @@
 //!    byte-for-byte. The fixture was captured via
 //!
 //!    ```text
-//!    tw trace --workload compress --preset headline --insts 2000 \
+//!    tw sim --bench compress --config headline --insts 2000 \
 //!       --events tc,promote --interval 500 --limit 64 \
 //!       --out crates/sim/tests/golden/trace-compress-headline.chrome.json
 //!    ```
@@ -21,7 +21,9 @@
 //!    to alter the event stream or the export format, and say so in the
 //!    commit.
 
-use tc_sim::harness::{chrome_trace_json, parse_json, report_to_json, run_traced, TraceOptions};
+use tc_sim::harness::{
+    chrome_trace_json, parse_json, report_to_json, run_traced, trace_options, TraceOptions,
+};
 use tc_sim::{Processor, SimConfig};
 use tc_trace::EventFilter;
 use tc_workloads::Benchmark;
@@ -40,7 +42,11 @@ fn tracing_does_not_perturb_the_simulation() {
     let workload = Benchmark::Gcc.build_scaled(2);
     let config = capture_config(SimConfig::headline_perf(), 30_000);
     let untraced = Processor::new(config.clone()).run(&workload);
-    let traced = run_traced(config, &workload, &TraceOptions::default());
+    // The options `tw sim --out FILE` runs with: every default.
+    let options = trace_options(false, true, None, None, None)
+        .unwrap()
+        .unwrap();
+    let traced = run_traced(config, &workload, workload.machine(), &options);
 
     assert!(traced.report.trace.is_some());
     assert!(untraced.trace.is_none());
@@ -58,18 +64,15 @@ fn identical_runs_produce_identical_event_streams() {
     let workload = Benchmark::Go.build_scaled(2);
     let options = TraceOptions {
         filter: EventFilter::all(),
-        interval: Some(1_000),
+        interval: 1_000,
         limit: 10_000,
     };
     let config = capture_config(SimConfig::headline_perf(), 20_000);
-    let a = run_traced(config.clone(), &workload, &options);
-    let b = run_traced(config, &workload, &options);
+    let a = run_traced(config.clone(), &workload, workload.machine(), &options);
+    let b = run_traced(config, &workload, workload.machine(), &options);
     assert_eq!(a.summary, b.summary);
     assert_eq!(a.records, b.records);
-    assert_eq!(
-        a.timeline.as_ref().map(tc_trace::Timeline::windows),
-        b.timeline.as_ref().map(tc_trace::Timeline::windows)
-    );
+    assert_eq!(a.timeline.windows(), b.timeline.windows());
 }
 
 #[test]
@@ -77,12 +80,13 @@ fn ring_limit_bounds_recording_with_exact_drop_accounting() {
     let workload = Benchmark::Compress.build_scaled(2);
     let options = TraceOptions {
         filter: EventFilter::all(),
-        interval: None,
+        interval: 1_000,
         limit: 100,
     };
     let run = run_traced(
         capture_config(SimConfig::baseline(), 20_000),
         &workload,
+        workload.machine(),
         &options,
     );
     assert_eq!(run.records.len(), 100, "ring stores exactly its capacity");
@@ -104,12 +108,13 @@ fn chrome_export_matches_the_golden_fixture() {
     let workload = Benchmark::Compress.build();
     let options = TraceOptions {
         filter: EventFilter::parse("tc,promote").expect("valid filter"),
-        interval: Some(500),
+        interval: 500,
         limit: 64,
     };
     let run = run_traced(
         capture_config(SimConfig::headline_perf(), 2_000),
         &workload,
+        workload.machine(),
         &options,
     );
     let rendered = format!("{}\n", chrome_trace_json(&run).pretty());

@@ -65,9 +65,14 @@ echo "==> tw paper (smoke)"
 target/release/tw paper fig10 --insts 20000 >/dev/null
 target/release/tw paper ablation-ras --insts 20000 >/dev/null
 
-echo "==> tw trace (smoke)"
-target/release/tw trace --workload compress --preset headline \
-  --insts 20000 --limit 10000 --out "$trace_artifact"
+echo "==> tw sim --out (trace smoke + golden)"
+target/release/tw sim --bench compress --config headline \
+  --insts 20000 --limit 10000 --out "$trace_artifact" >/dev/null
+# The release binary (sanitizer off by default) writes the committed
+# Chrome trace golden byte for byte.
+target/release/tw sim --bench compress --config headline --insts 2000 \
+  --events tc,promote --interval 500 --limit 64 --out "$trace_artifact" >/dev/null
+cmp "$trace_artifact" crates/sim/tests/golden/trace-compress-headline.chrome.json
 
 echo "==> tw sim with a fault plan (smoke)"
 target/release/tw sim --bench compress --config headline \
@@ -112,15 +117,15 @@ target/release/tw sim --bench compress --config promo-pack \
   --insts 20000 --plan "$plan" --json >/dev/null
 rm -f "$plan"
 
-echo "==> tw checkpoint save/restore round trip"
+echo "==> tw checkpoint / tw sim --from round trip"
 ckpt="$(mktemp -t tw-ckpt-smoke.XXXXXX.json)"
 direct="$(mktemp -t tw-ff-direct.XXXXXX.json)"
 resumed="$(mktemp -t tw-ff-resumed.XXXXXX.json)"
-target/release/tw checkpoint save --workload compress --insts 100000 \
+target/release/tw checkpoint --workload compress --insts 100000 \
   --out "$ckpt" >/dev/null
 target/release/tw sim --bench compress --config baseline \
   --fast-forward 100000 --insts 20000 --json > "$direct"
-target/release/tw checkpoint restore --from "$ckpt" --config baseline \
+target/release/tw sim --from "$ckpt" --config baseline \
   --insts 20000 --json > "$resumed"
 # Resuming from the checkpoint must reproduce the direct fast-forward
 # run bit-for-bit.
@@ -253,7 +258,13 @@ expect_exit() {
 expect_exit 2 target/release/tw frobnicate
 expect_exit 2 target/release/tw sim --bench gcc --config no-such-preset
 expect_exit 2 target/release/tw faults --workload gcc --rate 1e-3
+expect_exit 2 target/release/tw trace --workload compress --preset baseline --insts 1000
+expect_exit 2 target/release/tw checkpoint restore --from "$bench_artifact" --config baseline
+expect_exit 2 target/release/tw sim --bench compress --config baseline --insts 1000 \
+  --out "$trace_artifact" --limit 1000001
 expect_exit 2 target/release/tw serve --jobs 0
+# Bounded: a regression here would start a daemon that never exits.
+expect_exit 2 timeout 10 target/release/tw serve --insts 0
 expect_exit 2 target/release/tw paper fig99
 expect_exit 2 target/release/tw sim --bench gcc --config baseline --rate 5
 expect_exit 2 target/release/tw sim --bench gcc --config baseline --rate -1
@@ -290,4 +301,4 @@ echo "==> cargo clippy"
 # The workspace lint set in Cargo.toml, every target, warnings as errors.
 cargo clippy --release --offline --all-targets -- -D warnings
 
-echo "OK: build + tests + release harness and functional-core tests + lint + bench smoke + twbench smoke + compare + paper smoke + trace smoke + fault-plan sim smoke + fast-forward/checkpoint smoke + rv32i smoke + analyze/plan smoke + serve load smoke + chaos/crash-recovery smoke + error layer + closed stdout + formatting + clippy all clean"
+echo "OK: build + tests + release harness and functional-core tests + lint + bench smoke + twbench smoke + compare + paper smoke + trace smoke and golden + fault-plan sim smoke + fast-forward/checkpoint smoke + rv32i smoke + analyze/plan smoke + serve load smoke + chaos/crash-recovery smoke + error layer + closed stdout + formatting + clippy all clean"

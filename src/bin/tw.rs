@@ -17,9 +17,9 @@ use trace_weave::bench::{compare, paper, suite};
 use trace_weave::fault::FaultPlan;
 use trace_weave::sim::harness::{
     self, presets, report_to_json, reports_to_json, run_matrix, run_matrix_with, run_traced,
-    timeline_table, MatrixRunner, TraceOptions, TwError,
+    sim_config, timeline_table, MatrixRunner, TraceOptions, TwError, MAX_TRACE_LIMIT,
 };
-use trace_weave::sim::{SimConfig, SimReport, DEFAULT_MAX_INSTS};
+use trace_weave::sim::{ExecutionMode, Processor, SimConfig, SimReport, DEFAULT_MAX_INSTS};
 use trace_weave::trace::EventFilter;
 use trace_weave::workloads::{Benchmark, RvBench, WorkloadId};
 
@@ -83,7 +83,7 @@ const FLAGS: &[Flag] = &[
     flag(&["--targets"], "LIST", Kind::Text),
     flag(&["--check"], "FILE", Kind::Text),
     flag(&["--events"], "FILTER", Kind::Text),
-    flag(&["--limit"], "N", ANY),
+    flag(&["--limit"], "N", Kind::Uint(0, MAX_TRACE_LIMIT as u64)),
     flag(&["--all"], "", Kind::Switch),
     flag(&["--asm"], "FILE", Kind::Text),
     flag(&["--smoke"], "", Kind::Switch),
@@ -108,7 +108,7 @@ fn find_flag(name: &str) -> Option<&'static Flag> {
 /// One subcommand. Its synopsis lists operands (`FILE`) and flags,
 /// `!` marking a required flag, in the order usage shows them.
 struct Command {
-    /// `sim`, or `checkpoint save` for a two-word subcommand.
+    /// The word that selects it: `sim`.
     name: &'static str,
     synopsis: &'static str,
     about: &'static str,
@@ -124,32 +124,32 @@ const COMMANDS: &[Command] = &[
     },
     Command {
         name: "sim",
-        synopsis: "--bench! --config! --insts --perfect-mem --json --timeline --interval \
-                   --plan --fast-forward --sample --warmup --fault-rate --fault-seed \
-                   --at-cycles --targets",
+        synopsis: "--bench --config! --insts --perfect-mem --json --timeline --interval \
+                   --out --events --limit --plan --fast-forward --sample --warmup --from \
+                   --fault-rate --fault-seed --at-cycles --targets",
         about: "simulate one benchmark under one configuration; --fast-forward skips N \
                 instructions functionally before timing, or --sample times M of every K \
-                instructions, warming the front end for W before each window; --plan \
-                attaches a tw-plan/v1 promotion plan (auto = build it now); --timeline \
-                prints the interval timeline; --fault-rate R (0 < R <= 1) or --at-cycles \
+                instructions, warming the front end for W before each window; --from \
+                resumes a tw checkpoint file, in place of --bench, on the workload it \
+                names and at its saved position (bit-identical to --fast-forward to that \
+                position); --plan attaches a tw-plan/v1 promotion plan (auto = build it \
+                now); --timeline prints the interval timeline; --out writes a \
+                Chrome/Perfetto trace_event file of the first --limit events (default \
+                100000, at most 1000000) that FILTER passes (a comma list of event kinds \
+                or categories: tc, fill, promote, mispredict, cache, machine, retire, \
+                fault, or all, the default); --interval sets the timeline window in \
+                cycles (default 10000); --fault-rate R (0 < R <= 1) or --at-cycles \
                 attaches a deterministic fault plan (seed S, default 1) and the report \
                 gains fault counters; LIST is a comma list of loci (tc-segment, tc-evict, \
                 bias, predictor, ras, fill-stall), default all",
         run: cmd_sim,
     },
     Command {
-        name: "checkpoint save",
+        name: "checkpoint",
         synopsis: "--workload! --insts --out",
         about: "fast-forward N instructions functionally and write the architectural \
-                state as a tw-ckpt/v1 file (default <name>.ckpt.json)",
-        run: cmd_checkpoint_save,
-    },
-    Command {
-        name: "checkpoint restore",
-        synopsis: "--from! --config! --insts --json",
-        about: "resume a saved state under a configuration and report; bit-identical \
-                to tw sim --fast-forward at the saved position",
-        run: cmd_checkpoint_restore,
+                state as a tw-ckpt/v1 file (default <name>.ckpt.json) for tw sim --from",
+        run: cmd_checkpoint,
     },
     Command {
         name: "compare",
@@ -167,15 +167,6 @@ const COMMANDS: &[Command] = &[
                 data-dependent) and emit a tw-plan/v1 promotion plan; --check \
                 validates a plan file instead",
         run: cmd_analyze,
-    },
-    Command {
-        name: "trace",
-        synopsis: "--workload! --preset! --insts --events --interval --limit --out",
-        about: "run one cell with the event tracer attached and write a Chrome/Perfetto \
-                trace_event file (default trace.json); FILTER is a comma list of event \
-                kinds or categories (tc, fill, promote, mispredict, cache, machine, \
-                retire, fault, or all)",
-        run: cmd_trace,
     },
     Command {
         name: "lint",
@@ -205,7 +196,7 @@ const COMMANDS: &[Command] = &[
         name: "serve",
         synopsis: "--addr --port --jobs --queue-depth --cache-entries --cache-dir \
                    --max-conns --max-body --max-insts --insts",
-        about: "run the simulation service (POST /v1/{sim,compare,trace,analyze}, \
+        about: "run the simulation service (POST /v1/{sim,compare,analyze}, \
                 GET /healthz /v1/stats /v1/presets /v1/workloads, POST /v1/shutdown) with \
                 a content-addressed result cache; default address 127.0.0.1:0, the \
                 chosen port is printed; --cache-dir persists results across restarts",
@@ -270,27 +261,10 @@ impl Args {
     /// operand count, each value, and the required flags.
     fn parse(args: &[String]) -> Result<Args, TwError> {
         let first = args.first().map_or("", String::as_str);
-        let second = args.get(1).map_or("", String::as_str);
-        let (command, rest) = if let Some(c) = COMMANDS.iter().find(|c| c.name == first) {
-            (c, &args[1..])
-        } else if let Some(c) = COMMANDS
-            .iter()
-            .find(|c| c.name.split_once(' ') == Some((first, second)))
-        {
-            (c, &args[2..])
-        } else {
-            let subs: Vec<String> = COMMANDS
-                .iter()
-                .filter_map(|c| c.name.strip_prefix(first)?.strip_prefix(' '))
-                .map(|sub| format!("`{sub}`"))
-                .collect();
-            return Err(TwError::usage(if subs.is_empty() {
-                format!("unknown command `{first}`")
-            } else {
-                format!("{first}: expected {} subcommand", subs.join(" or "))
-            }));
+        let Some(command) = COMMANDS.iter().find(|c| c.name == first) else {
+            return Err(TwError::usage(format!("unknown command `{first}`")));
         };
-        let name = command.name;
+        let (name, rest) = (command.name, &args[1..]);
 
         let mut operands = Vec::new();
         let mut raw = Vec::new();
@@ -403,9 +377,9 @@ impl Args {
         TwError::usage(format!("missing {shown}"))
     }
 
-    /// Applies `--fast-forward` / `--sample` / `--warmup` to a
-    /// configuration, validating the combination.
-    fn apply_mode(&self, config: SimConfig) -> Result<SimConfig, TwError> {
+    /// The execution mode `--fast-forward` / `--sample` / `--warmup`
+    /// describe, validating the combination.
+    fn mode(&self) -> Result<ExecutionMode, TwError> {
         let warmup = self.uint("--warmup");
         let sample = match self.get("--sample") {
             Some(Value::Sample(measure, period)) => Some((*measure, *period)),
@@ -416,7 +390,7 @@ impl Args {
                 "--fast-forward and --sample are mutually exclusive",
             )),
             (_, None) if warmup.is_some() => Err(TwError::usage("--warmup requires --sample")),
-            (Some(skip), None) => Ok(config.with_fast_forward(skip)),
+            (Some(skip), None) => Ok(ExecutionMode::FastForward { skip }),
             (None, Some((measure, period))) => {
                 let warmup =
                     warmup.unwrap_or_else(|| (period - measure).min(measure.saturating_mul(2)));
@@ -425,9 +399,13 @@ impl Args {
                         "--warmup {warmup} + measure {measure} exceeds the {period}-instruction period"
                     )));
                 }
-                Ok(config.with_sampling(warmup, measure, period))
+                Ok(ExecutionMode::Sample {
+                    warmup,
+                    measure,
+                    period,
+                })
             }
-            (None, None) => Ok(config),
+            (None, None) => Ok(ExecutionMode::FullTiming),
         }
     }
 
@@ -449,6 +427,28 @@ impl Args {
                 .collect()
         });
         harness::fault_plan(self.uint("--seed"), rate, cycles, targets.as_deref())
+    }
+
+    /// The trace `tw sim`'s trace flags describe, under the rule
+    /// [`harness::trace_options`] applies to every front door; `--out`
+    /// is what makes a run traced.
+    fn trace_options(&self) -> Result<Option<TraceOptions>, TwError> {
+        let traced = self.text("--out").is_some();
+        if !traced && (self.get("--events").is_some() || self.get("--limit").is_some()) {
+            return Err(TwError::usage("--events and --limit need --out"));
+        }
+        let filter = self
+            .text("--events")
+            .map(EventFilter::parse)
+            .transpose()
+            .map_err(|e| TwError::usage(format!("--events: {e}")))?;
+        harness::trace_options(
+            self.switch("--timeline"),
+            traced,
+            filter,
+            self.uint("--interval"),
+            self.uint("--limit"),
+        )
     }
 }
 
@@ -805,44 +805,68 @@ fn emit_report(a: &Args, report: &SimReport) {
     }
 }
 
-/// Timeline-only trace options: aggregates fold at emit time, so no
-/// events need to be stored.
-fn timeline_options(a: &Args) -> TraceOptions {
-    TraceOptions {
-        filter: EventFilter::none(),
-        interval: Some(
-            a.uint("--interval")
-                .unwrap_or(harness::DEFAULT_TRACE_INTERVAL),
-        ),
-        limit: 0,
-    }
-}
-
 fn cmd_sim(a: &Args) -> Result<ExitCode, TwError> {
-    let bench = a.workload()?;
-    let mut config = a.config()?;
-    if a.switch("--perfect-mem") {
-        config = config.with_perfect_disambiguation();
-    }
-    if let Some(plan) = a.fault_plan()? {
-        config = config.with_fault_plan(plan);
-    }
-    let workload = bench.build();
-    let mut config = a.apply_mode(config.with_max_insts(a.insts_or(DEFAULT_MAX_INSTS)))?;
-    if let Some(plan) = load_plan(a, bench)? {
-        config = config.with_promotion_plan(plan);
-    }
-    if !a.switch("--timeline") {
-        emit_report(a, &trace_weave::sim::Processor::new(config).run(&workload));
-        return Ok(ExitCode::SUCCESS);
-    }
-    let run = run_traced(config, &workload, &timeline_options(a));
-    let Some(tl) = run.timeline.as_ref() else {
-        return Err(TwError::runtime(
-            "internal error: traced run produced no timeline",
-        ));
+    let mode = a.mode()?;
+    let fault = a.fault_plan()?;
+    let trace = a.trace_options()?;
+    let (bench, checkpoint) = match a.text("--from") {
+        None => (a.workload()?, None),
+        Some(_) if a.get("--bench").is_some() || mode != ExecutionMode::FullTiming => {
+            return Err(TwError::usage(
+                "--from resumes its file's workload at its position: drop --bench, \
+                 --fast-forward and --sample",
+            ))
+        }
+        Some(path) => {
+            let ckpt = harness::parse_checkpoint(&harness::read_verified(path)?)?;
+            let bench = harness::find_bench(&ckpt.workload).ok_or_else(|| {
+                TwError::runtime(format!(
+                    "{path}: checkpoint names unknown workload {:?}",
+                    ckpt.workload
+                ))
+            })?;
+            (bench, Some(ckpt))
+        }
     };
-    if a.switch("--json") {
+    let workload = bench.build();
+    // Resuming at position n under FastForward{n} skips nothing and
+    // reports identically to an unresumed `--fast-forward n` run.
+    let (machine, mode) = match &checkpoint {
+        Some(ckpt) => (
+            ckpt.restore(&workload)?,
+            ExecutionMode::FastForward { skip: ckpt.retired },
+        ),
+        None => (workload.machine(), mode),
+    };
+    let config = sim_config(
+        a.config()?,
+        a.insts_or(DEFAULT_MAX_INSTS),
+        a.switch("--perfect-mem"),
+        fault.as_ref(),
+        load_plan(a, bench)?.as_ref(),
+        mode,
+    );
+    let Some(options) = trace else {
+        emit_report(a, &Processor::new(config).run_from(&workload, machine));
+        return Ok(ExitCode::SUCCESS);
+    };
+    let run = run_traced(config, &workload, machine, &options);
+    if let Some(out) = a.text("--out") {
+        let text = harness::chrome_trace_json(&run).pretty();
+        if let Err(e) = harness::parse_json(&text) {
+            return Err(TwError::runtime(format!(
+                "internal error: emitted trace is malformed: {e}"
+            )));
+        }
+        // Chrome/Perfetto consume this file directly, so it gets the
+        // atomic write but not the CRC stamp.
+        harness::write_atomic(std::path::Path::new(out), &format!("{text}\n"))
+            .map_err(|e| TwError::runtime(format!("{out}: {e}")))?;
+    }
+    let tl = &run.timeline;
+    if !a.switch("--timeline") {
+        emit_report(a, &run.report);
+    } else if a.switch("--json") {
         println!(
             "{}",
             harness::Json::Object(vec![
@@ -856,10 +880,17 @@ fn cmd_sim(a: &Args) -> Result<ExitCode, TwError> {
         println!("\ninterval timeline ({} cycles/window):", tl.interval());
         print!("{}", timeline_table(tl));
     }
+    if let Some(out) = a.text("--out").filter(|_| !a.switch("--json")) {
+        let s = &run.summary;
+        println!(
+            "wrote {out}: {} events emitted, {} recorded, {} dropped, {} filtered",
+            s.emitted, s.recorded, s.dropped, s.filtered
+        );
+    }
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_checkpoint_save(a: &Args) -> Result<ExitCode, TwError> {
+fn cmd_checkpoint(a: &Args) -> Result<ExitCode, TwError> {
     let bench = a.workload()?;
     let workload = bench.build();
     let at = a.insts_or(DEFAULT_MAX_INSTS);
@@ -893,125 +924,45 @@ fn cmd_checkpoint_save(a: &Args) -> Result<ExitCode, TwError> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_checkpoint_restore(a: &Args) -> Result<ExitCode, TwError> {
-    let path = a.text("--from").ok_or_else(|| a.missing("--from"))?;
-    let text = harness::read_verified(path)?;
-    let ckpt = harness::parse_checkpoint(&text)?;
-    let bench = harness::find_bench(&ckpt.workload).ok_or_else(|| {
-        TwError::runtime(format!(
-            "{path}: checkpoint names unknown workload {:?}",
-            ckpt.workload
-        ))
-    })?;
-    let workload = bench.build();
-    let machine = ckpt.restore(&workload)?;
-    // Resuming at position n under FastForward{n} skips nothing and
-    // reports identically to an unresumed `tw sim --fast-forward n` run.
-    let config = a
-        .config()?
-        .with_max_insts(a.insts_or(DEFAULT_MAX_INSTS))
-        .with_fast_forward(ckpt.retired);
-    emit_report(
-        a,
-        &trace_weave::sim::Processor::new(config).run_from(&workload, machine),
-    );
-    Ok(ExitCode::SUCCESS)
-}
-
-fn cmd_trace(a: &Args) -> Result<ExitCode, TwError> {
-    let bench = a.workload()?;
-    let config = a.config()?;
-    let filter = match a.text("--events").map(EventFilter::parse) {
-        Some(Ok(filter)) => filter,
-        Some(Err(e)) => return Err(TwError::usage(format!("--events: {e}"))),
-        None => EventFilter::all(),
-    };
-    let options = TraceOptions {
-        filter,
-        interval: Some(
-            a.uint("--interval")
-                .unwrap_or(harness::DEFAULT_TRACE_INTERVAL),
-        ),
-        limit: a
-            .uint("--limit")
-            .map_or(harness::DEFAULT_TRACE_LIMIT, |n| n as usize),
-    };
-    let workload = bench.build();
-    let run = run_traced(
-        config.with_max_insts(a.insts_or(DEFAULT_MAX_INSTS)),
-        &workload,
-        &options,
-    );
-    let text = harness::chrome_trace_json(&run).pretty();
-    if let Err(e) = harness::parse_json(&text) {
-        return Err(TwError::runtime(format!(
-            "internal error: emitted trace is malformed: {e}"
-        )));
-    }
-    let out = a.text("--out").unwrap_or("trace.json");
-    // Chrome/Perfetto consume this file directly, so it gets the atomic
-    // write but not the CRC stamp.
-    harness::write_atomic(std::path::Path::new(out), &format!("{text}\n"))
-        .map_err(|e| TwError::runtime(format!("{out}: {e}")))?;
-    println!(
-        "{}: {} events emitted, {} recorded, {} dropped, {} filtered",
-        out, run.summary.emitted, run.summary.recorded, run.summary.dropped, run.summary.filtered
-    );
-    println!(
-        "load it in chrome://tracing or https://ui.perfetto.dev ({} cycles simulated)",
-        run.report.cycles
-    );
-    Ok(ExitCode::SUCCESS)
-}
-
 fn cmd_compare(a: &Args) -> Result<ExitCode, TwError> {
     let bench = a.workload()?;
     let fault_plan = a.fault_plan()?;
+    let timeline = harness::trace_options(
+        a.switch("--timeline"),
+        false,
+        None,
+        a.uint("--interval"),
+        None,
+    )?;
     let insts = a.insts_or(DEFAULT_MAX_INSTS);
     let promotion_plan = load_plan(a, bench)?;
     let cells: Vec<(WorkloadId, SimConfig)> = harness::standard_five()
         .into_iter()
-        .map(|(_, config)| {
-            let config = if a.switch("--perfect-mem") {
-                config.with_perfect_disambiguation()
-            } else {
-                config
-            };
-            let config = match &fault_plan {
-                Some(plan) => config.with_fault_plan(plan.clone()),
-                None => config,
-            };
-            let config = match &promotion_plan {
-                Some(plan) => config.with_promotion_plan(plan.clone()),
-                None => config,
-            };
-            (bench, config.with_max_insts(insts))
+        .map(|(_, preset)| {
+            let config = sim_config(
+                preset,
+                insts,
+                a.switch("--perfect-mem"),
+                fault_plan.as_ref(),
+                promotion_plan.as_ref(),
+                ExecutionMode::FullTiming,
+            );
+            (bench, config)
         })
         .collect();
-    let timeline = a.switch("--timeline");
-    let (reports, timelines): (Vec<SimReport>, Vec<_>) = if timeline {
+    let (reports, timelines): (Vec<SimReport>, Vec<_>) = match &timeline {
         // The timeline rides on the same simulation that produces the
         // report.
-        let options = timeline_options(a);
-        let mut reports = Vec::new();
-        let mut timelines = Vec::new();
-        for run in run_matrix_with(&cells, a.jobs(), |config, workload| {
-            run_traced(config, workload, &options)
-        }) {
-            let Some(tl) = run.timeline else {
-                return Err(TwError::runtime(
-                    "internal error: traced run produced no timeline",
-                ));
-            };
-            reports.push(run.report);
-            timelines.push(tl);
-        }
-        (reports, timelines)
-    } else {
-        (run_matrix(&cells, a.jobs()), Vec::new())
+        Some(options) => run_matrix_with(&cells, a.jobs(), |config, workload| {
+            run_traced(config, workload, workload.machine(), options)
+        })
+        .into_iter()
+        .map(|run| (run.report, run.timeline))
+        .unzip(),
+        None => (run_matrix(&cells, a.jobs()), Vec::new()),
     };
     if a.switch("--json") {
-        if timeline {
+        if timeline.is_some() {
             println!(
                 "{}",
                 harness::Json::Object(vec![
@@ -1320,9 +1271,11 @@ fn cmd_serve(a: &Args) -> Result<ExitCode, TwError> {
     config.max_body = count("--max-body", config.max_body);
     config.max_insts = a.uint("--max-insts").unwrap_or(config.max_insts);
     config.cache_dir = a.text("--cache-dir").map(std::path::PathBuf::from);
-    if config.default_insts > config.max_insts {
+    // A request that omits `insts` runs the default, so it obeys the
+    // range an explicit `insts` does.
+    if config.default_insts == 0 || config.default_insts > config.max_insts {
         return Err(TwError::usage(format!(
-            "--insts {} exceeds --max-insts {}",
+            "--insts {} is outside 1..={} (--max-insts)",
             config.default_insts, config.max_insts
         )));
     }

@@ -12,7 +12,7 @@
 //! * [`predict`] — branch predictors and the branch bias table
 //! * [`core`] — trace cache, fill unit, branch promotion, trace packing
 //! * [`engine`] — the out-of-order execution engine model
-//! * [`trace`] — the cycle-level event-tracing layer (`tw trace`)
+//! * [`trace`] — the cycle-level event-tracing layer (`tw sim --out`)
 //! * [`fault`] — deterministic fault plans and the injector (`tw sim --fault-rate`)
 //! * [`sim`] — whole-processor simulation driver and reports
 //! * [`bench`] — timing harnesses: the `tw bench` wall-clock suite and

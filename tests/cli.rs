@@ -51,17 +51,42 @@ fn unknown_command_and_flags_are_usage_errors() {
         ]),
         2,
     );
-    let out = tw(&["faults", "--workload", "gcc", "--rate", "1e-3"]);
-    assert_usage_error_only(&out);
-    assert!(
-        stderr_line(&out).contains("unknown command"),
-        "{}",
-        stderr_line(&out)
-    );
+    // Commands folded into `sim` (fault campaigns, traces) are gone.
+    for args in [
+        &["faults", "--workload", "gcc", "--rate", "1e-3"][..],
+        &[
+            "trace",
+            "--workload",
+            "compress",
+            "--preset",
+            "baseline",
+            "--insts",
+            "1000",
+        ],
+    ] {
+        let out = tw(args);
+        assert_usage_error_only(&out);
+        assert!(
+            stderr_line(&out).contains("unknown command"),
+            "{args:?}: {}",
+            stderr_line(&out)
+        );
+    }
+    // Every subcommand is one word: `checkpoint restore` and
+    // `checkpoint save` are `checkpoint` with a stray argument.
+    assert_usage_error_only(&tw(&[
+        "checkpoint",
+        "restore",
+        "--from",
+        "x.ckpt.json",
+        "--config",
+        "baseline",
+    ]));
+    assert_usage_error_only(&tw(&["checkpoint", "save", "--workload", "gcc"]));
     // Flags another subcommand declares are not accepted here.
     for args in [
         &[
-            "sim", "--bench", "compress", "--config", "baseline", "--events", "tc",
+            "sim", "--bench", "compress", "--config", "baseline", "--smoke",
         ][..],
         &["list", "--jobs", "2"],
         &[
@@ -98,8 +123,8 @@ fn assert_usage_error_only(out: &Output) {
 
 /// One subcommand as `tw help` shows it.
 struct Shown {
-    /// The words that select it: `sim`, `checkpoint save`.
-    words: Vec<String>,
+    /// The word that selects it: `sim`.
+    name: String,
     operands: usize,
     /// Each flag with the number of values it takes.
     flags: Vec<(String, usize)>,
@@ -130,17 +155,12 @@ fn shown_usage() -> (Vec<Shown>, Vec<(String, String)>) {
         .iter()
         .map(|synopsis| {
             let tokens: Vec<&str> = synopsis.split_whitespace().collect();
-            let words: Vec<String> = tokens
-                .iter()
-                .take_while(|t| t.chars().all(|c| c.is_ascii_lowercase()))
-                .map(|t| (*t).to_string())
-                .collect();
-            let operands = tokens[words.len()..]
+            let operands = tokens[1..]
                 .iter()
                 .take_while(|t| !t.starts_with('-') && !t.starts_with('['))
                 .count();
             let mut flags: Vec<(String, usize)> = Vec::new();
-            for token in &tokens[words.len() + operands..] {
+            for token in &tokens[1 + operands..] {
                 let bare = token.trim_start_matches('[');
                 if bare.starts_with("--") {
                     flags.push((bare.trim_end_matches(']').to_string(), 0));
@@ -149,7 +169,7 @@ fn shown_usage() -> (Vec<Shown>, Vec<(String, String)>) {
                 }
             }
             Shown {
-                words,
+                name: tokens[0].to_string(),
                 operands,
                 flags,
             }
@@ -173,15 +193,9 @@ fn shown_usage() -> (Vec<Shown>, Vec<(String, String)>) {
 #[test]
 fn every_subcommand_accepts_exactly_the_flags_its_usage_lists() {
     let (commands, aliases) = shown_usage();
-    let names: Vec<String> = commands.iter().map(|c| c.words.join(" ")).collect();
-    for want in [
-        "sim",
-        "checkpoint save",
-        "checkpoint restore",
-        "rv",
-        "paper",
-    ] {
-        assert!(names.iter().any(|n| n == want), "{want} missing: {names:?}");
+    let names: Vec<&str> = commands.iter().map(|c| c.name.as_str()).collect();
+    for want in ["sim", "checkpoint", "rv", "paper"] {
+        assert!(names.contains(&want), "{want} missing: {names:?}");
     }
     let mut all_flags: Vec<String> = Vec::new();
     for (a, b) in &aliases {
@@ -205,7 +219,7 @@ fn every_subcommand_accepts_exactly_the_flags_its_usage_lists() {
                 }
             }
         }
-        let mut prefix: Vec<&str> = c.words.iter().map(String::as_str).collect();
+        let mut prefix: Vec<&str> = vec![c.name.as_str()];
         prefix.extend(std::iter::repeat_n("x", c.operands));
         for (flag, arity) in &accepted {
             // Flags are matched before any value is checked, so a
@@ -485,6 +499,202 @@ fn sim_fault_runs_report_deterministic_counters() {
     let _ = run("12");
 }
 
+/// A trace is a `sim` run: `--out` writes the Chrome trace the golden
+/// fixture holds (captured from the former `tw trace` with the same
+/// arguments), byte for byte.
+#[test]
+fn sim_with_out_reproduces_the_trace_golden() {
+    let path = std::env::temp_dir().join(format!("tw-cli-test-{}-trace.json", std::process::id()));
+    let out = tw(&[
+        "sim",
+        "--bench",
+        "compress",
+        "--config",
+        "headline",
+        "--insts",
+        "2000",
+        "--events",
+        "tc,promote",
+        "--interval",
+        "500",
+        "--limit",
+        "64",
+        "--out",
+        path.to_str().expect("utf-8 path"),
+    ]);
+    let written = std::fs::read(&path);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_line(&out));
+    let golden = include_str!("../crates/sim/tests/golden/trace-compress-headline.chrome.json");
+    assert!(
+        written.expect("trace written") == golden.as_bytes(),
+        "tw sim --out differs from the trace golden"
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("cycle accounting:"), "{stdout}");
+    assert!(stdout.contains("64 recorded"), "{stdout}");
+}
+
+/// The trace flags follow one rule: the ring holds at most a million
+/// events, `--events` and `--limit` need `--out`, and `--interval` needs
+/// a timeline or a trace. Each break is a usage error that runs nothing.
+#[test]
+fn trace_flags_follow_one_rule() {
+    let path =
+        std::env::temp_dir().join(format!("tw-cli-test-{}-unwritten.json", std::process::id()));
+    let unwritten = path.to_str().expect("utf-8 path");
+    let sim = [
+        "sim", "--bench", "compress", "--config", "baseline", "--insts", "1000",
+    ];
+    for (extra, reason) in [
+        (
+            &["--out", unwritten, "--limit", "18446744073709551615"][..],
+            "--limit",
+        ),
+        (&["--out", unwritten, "--limit", "1000001"], "--limit"),
+        (&["--events", "tc"], "need --out"),
+        (&["--limit", "10"], "need --out"),
+        (&["--interval", "500"], "needs a timeline or a trace"),
+        (&["--out", unwritten, "--events", "zap"], "--events"),
+    ] {
+        let args: Vec<&str> = sim.iter().chain(extra).copied().collect();
+        let out = tw(&args);
+        assert_usage_error_only(&out);
+        assert!(
+            stderr_line(&out).contains(reason),
+            "{args:?}: {}",
+            stderr_line(&out)
+        );
+    }
+    assert!(!path.exists(), "a refused run wrote its trace");
+    let out = tw(&["compare", "--bench", "gcc", "--interval", "500"]);
+    assert_usage_error_only(&out);
+    assert!(
+        stderr_line(&out).contains("needs a timeline"),
+        "{}",
+        stderr_line(&out)
+    );
+}
+
+/// A resumed run is a `sim` run: `--from` reports exactly what
+/// `--fast-forward` to the saved position does, in text and JSON, and
+/// refuses the flags that would contradict the file.
+#[test]
+fn sim_from_a_checkpoint_equals_fast_forward_to_its_position() {
+    let path = std::env::temp_dir().join(format!("tw-cli-test-{}-resume.json", std::process::id()));
+    let ckpt = path.to_str().expect("utf-8 path");
+    let save = tw(&[
+        "checkpoint",
+        "--workload",
+        "li",
+        "--insts",
+        "50000",
+        "--out",
+        ckpt,
+    ]);
+    assert_eq!(
+        save.status.code(),
+        Some(0),
+        "stderr: {}",
+        stderr_line(&save)
+    );
+    let run = |from: &[&str], json: bool| {
+        let mut args = vec!["sim", "--config", "headline", "--insts", "20000"];
+        args.extend(from);
+        if json {
+            args.push("--json");
+        }
+        let out = tw(&args);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{args:?}: {}",
+            stderr_line(&out)
+        );
+        out.stdout
+    };
+    for json in [false, true] {
+        let resumed = run(&["--from", ckpt], json);
+        let direct = run(&["--bench", "li", "--fast-forward", "50000"], json);
+        assert!(
+            resumed == direct,
+            "--from differs from --fast-forward:\n{}",
+            String::from_utf8_lossy(&resumed)
+        );
+    }
+    let refused = [
+        tw(&[
+            "sim", "--from", ckpt, "--bench", "li", "--config", "baseline",
+        ]),
+        tw(&[
+            "sim",
+            "--from",
+            ckpt,
+            "--config",
+            "baseline",
+            "--fast-forward",
+            "5",
+        ]),
+        tw(&[
+            "sim", "--from", ckpt, "--config", "baseline", "--sample", "1/2",
+        ]),
+    ];
+    let _ = std::fs::remove_file(&path);
+    for out in &refused {
+        assert_usage_error_only(out);
+        assert!(stderr_line(out).contains("--from"), "{}", stderr_line(out));
+    }
+}
+
+/// Both front doors build a run's configuration with one builder: `tw
+/// sim --json` and `/v1/sim` report the same numbers for one spec with
+/// perfect disambiguation, a fault rate and an automatic promotion plan.
+#[test]
+fn sim_and_the_wire_give_equal_reports_for_one_spec() {
+    use trace_weave::sim::harness::{parse_json, serve, ServeConfig, Server};
+    let out = tw(&[
+        "sim",
+        "--bench",
+        "li",
+        "--config",
+        "headline",
+        "--insts",
+        "30000",
+        "--perfect-mem",
+        "--rate",
+        "1e-2",
+        "--plan",
+        "auto",
+        "--json",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_line(&out));
+    let cli = parse_json(&String::from_utf8_lossy(&out.stdout)).expect("report parses");
+
+    let server = Server::bind(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    })
+    .expect("bind an ephemeral port");
+    let addr = server.local_addr().expect("bound address");
+    let daemon = std::thread::spawn(move || server.run());
+    let body = r#"{"bench": "li", "preset": "headline", "insts": 30000, "perfect": true, "rate": 0.01, "plan": "auto"}"#;
+    let resp = serve::http_request(addr, "POST", "/v1/sim", body).expect("sim request");
+    serve::http_request(addr, "POST", "/v1/shutdown", "").expect("shutdown");
+    assert_eq!(daemon.join().expect("daemon exits").job_panics, 0);
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let wire = parse_json(&resp.body)
+        .expect("body parses")
+        .get("report")
+        .expect("body carries a report")
+        .clone();
+    assert!(
+        wire.get("fault").is_some() && wire.get("plan").is_some(),
+        "{}",
+        resp.body
+    );
+    assert_eq!(cli, wire, "tw sim and /v1/sim disagree");
+}
+
 #[test]
 fn jobs_flag_enforces_the_range_contract() {
     assert_diagnostic(&tw(&["compare", "--bench", "gcc", "--jobs", "0"]), 2);
@@ -618,6 +828,15 @@ fn serve_flags_are_validated_before_binding() {
         &tw(&["serve", "--insts", "2000000", "--max-insts", "1000"]),
         2,
     );
+    // A request without `insts` runs the default, which must lie in the
+    // range an explicit `insts` does.
+    let out = tw(&["serve", "--insts", "0"]);
+    assert_usage_error_only(&out);
+    assert!(
+        stderr_line(&out).contains("--insts 0"),
+        "{}",
+        stderr_line(&out)
+    );
     // An unbindable address is a runtime error (exit 1), not a panic.
     assert_diagnostic(&tw(&["serve", "--addr", "999.999.999.999:1"]), 1);
 }
@@ -634,7 +853,6 @@ fn corrupted_checkpoint_fails_with_crc_diagnostic() {
     let out_str = out_path.to_str().expect("utf-8 path");
     let save = tw(&[
         "checkpoint",
-        "save",
         "--workload",
         "gcc",
         "--insts",
@@ -651,10 +869,9 @@ fn corrupted_checkpoint_fails_with_crc_diagnostic() {
     let text = std::fs::read_to_string(&out_path).expect("checkpoint written");
     assert!(text.contains("\"crc32\""), "artifact is stamped: {text}");
 
-    // The intact artifact restores cleanly.
+    // The intact artifact resumes cleanly.
     let restore = tw(&[
-        "checkpoint",
-        "restore",
+        "sim",
         "--from",
         out_str,
         "--config",
@@ -669,20 +886,13 @@ fn corrupted_checkpoint_fails_with_crc_diagnostic() {
         stderr_line(&restore)
     );
 
-    // One flipped byte in the payload: restore must refuse, naming the
-    // CRC mismatch — before any parsing can misfire.
+    // One flipped byte in the payload: the resume must refuse, naming
+    // the CRC mismatch — before any parsing can misfire.
     let mut flipped = text.clone().into_bytes();
     let last = flipped.len() - 2;
     flipped[last] ^= 0x01;
     std::fs::write(&out_path, &flipped).expect("corrupt rewrite");
-    let out = tw(&[
-        "checkpoint",
-        "restore",
-        "--from",
-        out_str,
-        "--config",
-        "promo-pack",
-    ]);
+    let out = tw(&["sim", "--from", out_str, "--config", "promo-pack"]);
     assert_diagnostic(&out, 1);
     assert!(
         stderr_line(&out).contains("crc32 mismatch"),
@@ -693,14 +903,7 @@ fn corrupted_checkpoint_fails_with_crc_diagnostic() {
     // Truncation: the stamp leads the artifact, so a half file is still
     // recognizably stamped and fails the same way.
     std::fs::write(&out_path, &text.as_bytes()[..text.len() / 2]).expect("truncate");
-    let out = tw(&[
-        "checkpoint",
-        "restore",
-        "--from",
-        out_str,
-        "--config",
-        "promo-pack",
-    ]);
+    let out = tw(&["sim", "--from", out_str, "--config", "promo-pack"]);
     let _ = std::fs::remove_file(&out_path);
     assert_diagnostic(&out, 1);
     assert!(
