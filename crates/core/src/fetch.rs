@@ -604,6 +604,11 @@ impl<T: Tracer> FrontEnd<T> {
 
     /// The one fetch body behind [`FrontEnd::fetch_to`] and
     /// [`FrontEnd::fetch_next`]; the delivered instructions go to `out`.
+    ///
+    /// Always inlined: returned through memory, the [`FetchHead`] is
+    /// stored field by field and reloaded whole by `fetch_to`, a
+    /// store-forwarding stall on every fetch.
+    #[inline(always)]
     fn fetch_into<S: FetchSink>(
         &mut self,
         pc: Addr,
@@ -635,6 +640,7 @@ impl<T: Tracer> FrontEnd<T> {
         // The trace cache is moved out of `self` for the duration of the
         // lookup so the fetch can read the resident segment's slice (no
         // per-hit copy of the line) while `self` updates history and RAS.
+        let mut recovering = false;
         if let Some(mut tc) = self.trace_cache.take() {
             let path_assoc = tc.config().path_assoc;
             let hit = if !path_assoc {
@@ -700,17 +706,17 @@ impl<T: Tracer> FrontEnd<T> {
             if T::ENABLED {
                 self.tracer.emit(TraceEvent::TcMiss { pc });
             }
-            if quarantined.is_some() {
-                let head = self.fetch_from_icache(pc, program, mem, &dirs, &mut pred_ctx, out);
-                self.quarantine.recovered += 1;
-                self.quarantine.recovery_cycles += u64::from(head.icache_latency);
-                if T::ENABLED {
-                    self.tracer.emit(TraceEvent::FaultRecovered { pc });
-                }
-                return head;
+            recovering = quarantined.is_some();
+        }
+        let head = self.fetch_from_icache(pc, program, mem, &dirs, &mut pred_ctx, out);
+        if recovering {
+            self.quarantine.recovered += 1;
+            self.quarantine.recovery_cycles += u64::from(head.icache_latency);
+            if T::ENABLED {
+                self.tracer.emit(TraceEvent::FaultRecovered { pc });
             }
         }
-        self.fetch_from_icache(pc, program, mem, &dirs, &mut pred_ctx, out)
+        head
     }
 
     /// How many individual branch predictions the configured predictor
@@ -897,6 +903,10 @@ impl<T: Tracer> FrontEnd<T> {
         }
     }
 
+    /// The i-cache walk, for a trace-cache miss or a machine without a
+    /// trace cache. Always inlined into its one caller, `fetch_into`,
+    /// for the same reason as that body.
+    #[inline(always)]
     fn fetch_from_icache<S: FetchSink>(
         &mut self,
         pc: Addr,
@@ -906,7 +916,8 @@ impl<T: Tracer> FrontEnd<T> {
         pred_ctx: &mut PredContext,
         out: &mut S,
     ) -> FetchHead {
-        let line_bytes = mem.config().icache.line_bytes;
+        // Line sizes are powers of two (`CacheConfig::new` checks).
+        let line_mask = mem.config().icache.line_bytes - 1;
         let first = mem.instruction_fetch(pc.byte_addr());
         let latency = first.cycles.saturating_sub(mem.config().l1_latency);
         if T::ENABLED && !first.l1_hit {
@@ -931,7 +942,7 @@ impl<T: Tracer> FrontEnd<T> {
             }
             // Split-line fetching: crossing into a new line requires it
             // to be resident, otherwise the fetch ends at the boundary.
-            if cur != pc && cur.byte_addr().is_multiple_of(line_bytes) {
+            if cur != pc && cur.byte_addr() & line_mask == 0 {
                 if mem.instruction_resident(cur.byte_addr()) {
                     mem.instruction_fetch(cur.byte_addr());
                 } else {

@@ -51,6 +51,6 @@ pub use sanitize::{
 pub use segment::{
     SegEndReason, SegmentInst, TraceSegment, MAX_SEGMENT_BRANCHES, MAX_SEGMENT_INSTS,
 };
-pub use stats::{FetchStats, TerminationReason};
+pub use stats::{FetchStats, TerminationReason, MAX_FETCH};
 pub use tc_trace::FetchOrigin;
 pub use trace_cache::{FillOutcome, TraceCache, TraceCacheConfig, TraceCacheStats};

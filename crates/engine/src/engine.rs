@@ -1,13 +1,17 @@
 //! The dataflow execution window.
 
-use std::collections::VecDeque;
-
 use tc_cache::MemoryHierarchy;
 use tc_isa::{ExecRecord, Reg};
 
 use crate::calendar::FuCalendar;
 use crate::config::EngineConfig;
 use crate::memdep::MemDepTracker;
+use crate::ring::Ring;
+
+/// Entries the in-flight ring holds past the window before it grows:
+/// the caller checks for room before a fetch, so the last fetch into a
+/// nearly full window overruns it by up to one fetch less one.
+const WINDOW_OVERRUN: usize = 16;
 
 /// Timestamps computed for one issued instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,8 +70,9 @@ pub struct ExecutionEngine {
     reg_ready: [u64; Reg::COUNT],
     fus: FuCalendar,
     memdep: MemDepTracker,
-    /// Retire timestamps of in-flight instructions (nondecreasing).
-    in_flight: VecDeque<u64>,
+    /// Retire timestamps of in-flight instructions (nondecreasing),
+    /// sized for the window and the fetch that may overrun it.
+    in_flight: Ring<u64>,
     last_retire_cycle: u64,
     retired_this_cycle: usize,
     stats: EngineStats,
@@ -88,7 +93,7 @@ impl ExecutionEngine {
             reg_ready: [0; Reg::COUNT],
             fus: FuCalendar::new(config.fus as u32),
             memdep: MemDepTracker::new(),
-            in_flight: VecDeque::new(),
+            in_flight: Ring::new(config.window + WINDOW_OVERRUN, 0),
             last_retire_cycle: 0,
             retired_this_cycle: 0,
             stats: EngineStats::default(),
@@ -131,14 +136,10 @@ impl ExecutionEngine {
     /// many retired.
     pub fn drain_retired(&mut self, cycle: u64) -> usize {
         let mut n = 0;
-        while let Some(&front) = self.in_flight.front() {
-            if front <= cycle {
-                self.in_flight.pop_front();
-                n += 1;
-            } else {
-                break;
-            }
+        while self.in_flight.get(n).is_some_and(|&t| t <= cycle) {
+            n += 1;
         }
+        self.in_flight.drop_front(n);
         self.fus.advance(cycle.saturating_sub(64));
         if cycle > self.prune_clock.saturating_add(4096) {
             self.memdep.prune(cycle.saturating_sub(256));
@@ -168,7 +169,9 @@ impl ExecutionEngine {
         let pipeline_ready = fetch_cycle + u64::from(self.config.frontend_stages);
         // Dataflow: operand availability.
         let mut ready = pipeline_ready;
-        for src in rec.instr.sources().into_iter().flatten() {
+        // An absent source reads `Reg::ZERO`, whose entry stays 0: no
+        // instruction names it as a destination.
+        for src in rec.instr.source_pair() {
             ready = ready.max(self.reg_ready[src.index()]);
         }
         // Memory ordering for loads.

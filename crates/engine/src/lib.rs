@@ -29,8 +29,10 @@ mod calendar;
 mod config;
 mod engine;
 mod memdep;
+mod ring;
 
 pub use calendar::FuCalendar;
 pub use config::EngineConfig;
 pub use engine::{EngineStats, ExecutionEngine, IssueTimes};
 pub use memdep::MemDepTracker;
+pub use ring::Ring;

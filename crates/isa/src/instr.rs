@@ -469,19 +469,26 @@ impl Instr {
     /// the hardwired zero register.
     #[must_use]
     pub fn sources(&self) -> [Option<Reg>; 2] {
-        let keep = |r: Reg| if r.is_zero() { None } else { Some(r) };
+        self.source_pair()
+            .map(|r| if r.is_zero() { None } else { Some(r) })
+    }
+
+    /// The two source registers, with [`Reg::ZERO`] standing for "no
+    /// source": a consumer can read both without unwrapping, since the
+    /// zero register is never written.
+    #[must_use]
+    #[inline]
+    pub fn source_pair(&self) -> [Reg; 2] {
         match self {
-            Instr::Alu { rs1, rs2, .. } => [keep(*rs1), keep(*rs2)],
-            Instr::AluImm { rs1, .. } => [keep(*rs1), None],
-            Instr::Li { .. } => [None, None],
-            Instr::Load { base, .. } | Instr::LoadN { base, .. } => [keep(*base), None],
-            Instr::Store { src, base, .. } | Instr::StoreN { src, base, .. } => {
-                [keep(*src), keep(*base)]
-            }
-            Instr::Branch { rs1, rs2, .. } => [keep(*rs1), keep(*rs2)],
-            Instr::Ret => [keep(Reg::RA), None],
-            Instr::JumpInd { base } | Instr::CallInd { base } => [keep(*base), None],
-            _ => [None, None],
+            Instr::Alu { rs1, rs2, .. } | Instr::Branch { rs1, rs2, .. } => [*rs1, *rs2],
+            Instr::AluImm { rs1: r, .. }
+            | Instr::Load { base: r, .. }
+            | Instr::LoadN { base: r, .. }
+            | Instr::JumpInd { base: r }
+            | Instr::CallInd { base: r } => [*r, Reg::ZERO],
+            Instr::Store { src, base, .. } | Instr::StoreN { src, base, .. } => [*src, *base],
+            Instr::Ret => [Reg::RA, Reg::ZERO],
+            _ => [Reg::ZERO, Reg::ZERO],
         }
     }
 
@@ -690,6 +697,7 @@ mod tests {
         };
         assert_eq!(i.dest(), None);
         assert_eq!(i.sources(), [None, Some(Reg::T1)]);
+        assert_eq!(i.source_pair(), [Reg::ZERO, Reg::T1]);
     }
 
     #[test]
@@ -703,6 +711,7 @@ mod tests {
         );
         assert_eq!(Instr::CallInd { base: Reg::T0 }.dest(), Some(Reg::RA));
         assert_eq!(Instr::Ret.sources(), [Some(Reg::RA), None]);
+        assert_eq!(Instr::Ret.source_pair(), [Reg::RA, Reg::ZERO]);
     }
 
     #[test]

@@ -17,7 +17,7 @@ impl Addr {
 
     /// Creates an address from an instruction index.
     #[must_use]
-    pub fn new(index: u32) -> Addr {
+    pub const fn new(index: u32) -> Addr {
         Addr(index)
     }
 

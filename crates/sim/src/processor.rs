@@ -1,15 +1,13 @@
 //! The whole-processor simulation loop.
 
-use std::collections::VecDeque;
-
 use tc_cache::MemoryHierarchy;
 use tc_core::{
-    FetchBundle, FrontEnd, InlineVec, NextPc, TerminationReason, MAX_SEGMENT_BRANCHES,
+    FetchBundle, FrontEnd, InlineVec, NextPc, TerminationReason, MAX_FETCH, MAX_SEGMENT_BRANCHES,
     MAX_SEGMENT_INSTS,
 };
-use tc_engine::{ExecutionEngine, IssueTimes};
+use tc_engine::{ExecutionEngine, IssueTimes, Ring};
 use tc_fault::{FaultDraw, FaultInjector, FaultLocus, FaultStats};
-use tc_isa::{Addr, BlockCache, ControlKind, ExecRecord, Interpreter, Machine, Program};
+use tc_isa::{Addr, BlockCache, ControlKind, ExecRecord, Instr, Interpreter, Machine, Program};
 use tc_predict::ReturnStack;
 use tc_trace::{ExecPhase, FetchOrigin, NoopTracer, TraceEvent, Tracer};
 use tc_workloads::Workload;
@@ -26,6 +24,28 @@ const MISFETCH_PENALTY: u64 = 2;
 /// shadow itself can be long on a memory miss; fetch stops meaningfully
 /// polluting after the machine would have filled its window).
 const MAX_WRONG_PATH_FETCHES: u32 = 64;
+
+/// Records a refill leaves past the in-flight ones: the most the
+/// interpreter ever runs ahead of issue.
+const LOOKAHEAD: usize = 64;
+
+/// The fewest records a tick may start with past the in-flight ones:
+/// it issues up to `MAX_FETCH` of them and then reads the PC of the
+/// next, and a missing next record reads as the end of the stream. The
+/// look-ahead is refilled only once it falls below this floor, so one
+/// interpreter call produces about `LOOKAHEAD - LOOKAHEAD_FLOOR`
+/// records.
+const LOOKAHEAD_FLOOR: usize = MAX_FETCH + 1;
+const _: () = assert!(LOOKAHEAD_FLOOR > MAX_FETCH && LOOKAHEAD_FLOOR < LOOKAHEAD);
+
+/// What fills the record ring's unused slots; never read as a record.
+const NO_RECORD: ExecRecord = ExecRecord {
+    pc: Addr::new(0),
+    instr: Instr::Halt,
+    next_pc: Addr::new(0),
+    taken: false,
+    mem_addr: None,
+};
 
 #[derive(Debug, Default)]
 struct Counters {
@@ -135,9 +155,10 @@ pub struct Processor<T: Tracer = NoopTracer> {
     /// stays in place here until it retires: the first
     /// `engine.occupancy()` records are in flight (issued, in program
     /// order, so the engine's retire times line up with them), and the
-    /// rest are the oracle look-ahead. Held as a field so measurement
-    /// windows reuse the allocation.
-    oracle: VecDeque<ExecRecord>,
+    /// rest are the oracle look-ahead. Sized for a full window, the
+    /// fetch that may overrun it and the look-ahead, so it grows only
+    /// if a fetch overruns further; measurement windows reuse it.
+    oracle: Ring<ExecRecord>,
     /// Byte address → plan class index, present when a promotion plan
     /// is attached; used to attribute branch activity per class.
     plan_classes: Option<std::collections::HashMap<u64, usize>>,
@@ -173,7 +194,7 @@ impl<T: Tracer> Processor<T> {
             mem: MemoryHierarchy::new(config.hierarchy),
             injector: config.fault_plan.clone().map(FaultInjector::new),
             fault: FaultStats::default(),
-            oracle: VecDeque::with_capacity(128),
+            oracle: Ring::new(config.engine.window + MAX_FETCH + LOOKAHEAD, NO_RECORD),
             plan_classes,
             config,
             ran: false,
@@ -386,9 +407,10 @@ impl<T: Tracer> Processor<T> {
         // first, then the interpreter hands the rest of the window
         // straight to `warm`, with no copy through the queue.
         let queued = (self.oracle.len() as u64).min(want);
-        for rec in self.oracle.drain(..queued as usize) {
-            warm(&rec);
+        for i in 0..queued as usize {
+            warm(&self.oracle[i]);
         }
+        self.oracle.drop_front(queued as usize);
         queued + interp.for_each_record(want - queued, |rec| warm(&rec))
     }
 
@@ -734,12 +756,10 @@ impl<T: Tracer> Processor<T> {
     /// the first records of the queue.
     fn retire_to(&mut self, cycle: u64) {
         let n = self.engine.drain_retired(cycle);
-        if n > 0 {
-            for rec in self.oracle.range(..n) {
-                self.front_end.retire(rec);
-            }
-            self.oracle.drain(..n);
+        for i in 0..n {
+            self.front_end.retire(&self.oracle[i]);
         }
+        self.oracle.drop_front(n);
     }
 
     /// Retires everything in flight with the clock at `cycle`, which
@@ -784,10 +804,14 @@ impl<T: Tracer> Processor<T> {
     }
 
     /// Tops the look-ahead (the records past the in-flight ones) up to
-    /// 64 records.
+    /// [`LOOKAHEAD`] records once it holds fewer than [`LOOKAHEAD_FLOOR`].
+    #[inline(always)]
     fn refill(&mut self, interp: &mut Interpreter<'_>) {
-        let short = (self.engine.occupancy() + 64).saturating_sub(self.oracle.len());
-        interp.for_each_record(short as u64, |rec| self.oracle.push_back(rec));
+        let ahead = self.oracle.len() - self.engine.occupancy();
+        if ahead < LOOKAHEAD_FLOOR {
+            let short = (LOOKAHEAD - ahead) as u64;
+            interp.for_each_record(short, |rec| self.oracle.push_back(rec));
+        }
     }
 
     /// Advances the stream by up to `want` instructions with no timing
@@ -802,7 +826,7 @@ impl<T: Tracer> Processor<T> {
             "skipping starts with an empty window"
         );
         let from_buffer = (self.oracle.len() as u64).min(want);
-        self.oracle.drain(..from_buffer as usize);
+        self.oracle.drop_front(from_buffer as usize);
         from_buffer + interp.fast_forward(blocks, want - from_buffer)
     }
 

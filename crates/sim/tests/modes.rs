@@ -55,6 +55,23 @@ fn checkpoint_resume_is_bit_identical_to_direct_fast_forward() {
     assert!(resumed.instructions >= budget);
 }
 
+/// A full fetch can take every record past the in-flight ones down to
+/// one; if the look-ahead's refill floor let it take the last, the next
+/// fetch PC would read as the end of the stream. Compress on `headline`
+/// has such a fetch early: a floor one too low stops this run at
+/// 165,663 instructions.
+#[test]
+fn a_full_fetch_never_ends_the_stream_early() {
+    let budget = 200_000;
+    let report = Processor::new(SimConfig::headline_perf().with_max_insts(budget))
+        .run(&Benchmark::Compress.build());
+    assert!(
+        report.instructions >= budget,
+        "the run stopped at {} of {budget} instructions",
+        report.instructions
+    );
+}
+
 fn fetch_rate_delta_pct(full: &SimReport, sampled: &SimReport) -> f64 {
     (sampled.effective_fetch_rate() - full.effective_fetch_rate()) / full.effective_fetch_rate()
         * 100.0

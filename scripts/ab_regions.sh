@@ -24,6 +24,15 @@
 # faster) and B's wins; then the total time ratio, the median and
 # quartiles of the per-region medians, and B's wins over all pairs.
 #
+# The two sides are not placement-neutral: the same code linked once
+# as A and once as B does not run at the same speed. With REV = HEAD on
+# a clean tree (A and B the same code), one 2-vCPU host read ic-rv
+# 1.097 (B won 66 of 80 pairs) and tc-full 0.970 (B won 17 of 90), and
+# on another day ic-rv 1.015 and tc-full 0.952. A ratio therefore counts
+# only against such an A/A run of the same workload taken right before
+# or after it, and a change smaller than the A/A offset is not resolved
+# by this script.
+#
 # Offline (cargo and git only). tc-full takes about a minute at five
 # rounds on a 2-vCPU host, sampled about as long. Not run by CI.
 set -euo pipefail

@@ -19,8 +19,8 @@
 #
 # Prints, per function, its inclusive share (samples with the function
 # anywhere on the stack, inlined frames included) and its self share
-# (samples whose innermost inlined frame it is), then the hottest
-# instruction addresses. x86-64 Linux only; offline (cargo, binutils
+# (samples whose innermost inlined frame it is), ranked by inclusive
+# share and again by self share, then the hottest instruction addresses. x86-64 Linux only; offline (cargo, binutils
 # and python3). Not run by CI.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -350,6 +350,13 @@ print(f"{'inclusive':>9} {'self':>6}  function")
 shown = [(f, c) for f, c in incl.most_common() if c < 0.995 * n][:40]
 for func, c in shown:
     print(f"{100 * c / n:8.1f}% {100 * self_[func] / n:5.1f}%  {func}")
+# Self time ranks the leaves, such as a container's index arithmetic,
+# that sit low in the inclusive table under their many callers.
+print()
+print(f"{'self':>6} {'inclusive':>9}  function")
+for func, c in self_.most_common(25):
+    name = func if known(func) else "(outside the binary or unsymbolized)"
+    print(f"{100 * c / n:5.1f}% {100 * incl[func] / n:8.1f}%  {name}")
 print()
 print(f"{'share':>6}  address (symbol+offset)  innermost function  source")
 for addr, c in leaves.most_common(15):
